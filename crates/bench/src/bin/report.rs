@@ -6,8 +6,10 @@
 //! ```
 //! where `experiment` is one or more of `table1`, `fig6`, `fig7`, `fig8`, `fig9a`,
 //! `fig9b`, `fig9c`, `fig9d`, `fig10`, `local_vs_outsource`, `security`, `engine`, or
-//! `all` (default). Row counts are scaled down from the paper (see EXPERIMENTS.md);
-//! set the environment variable `F2_REPORT_SCALE` to an integer ≥ 1 to multiply them.
+//! `all` (default). Row counts are scaled down from the paper's so the whole report
+//! runs in minutes (each experiment's size is set where it is dispatched, at the foot
+//! of this file); set the environment variable `F2_REPORT_SCALE` to an integer ≥ 1 to
+//! multiply them.
 //! Setting `F2_REPORT_SMOKE=1` shrinks the `engine` experiment to a seconds-long
 //! serializer check (CI runs it on every push).
 //!

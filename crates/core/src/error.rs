@@ -24,6 +24,14 @@ pub enum F2Error {
         /// The panic payload, when it was a string (the common case).
         message: String,
     },
+    /// A streaming job's frame write failed, possibly part-way, so its store may
+    /// end in a torn frame. The job refuses further appends and its finish;
+    /// reopening the store with `Engine::resume_job` truncates the tear and
+    /// continues byte-exactly.
+    TornStream {
+        /// Index of the chunk whose frame write failed.
+        chunk: usize,
+    },
 }
 
 impl fmt::Display for F2Error {
@@ -37,6 +45,11 @@ impl fmt::Display for F2Error {
             F2Error::WorkerPanicked { chunk, message } => {
                 write!(f, "worker panicked while encrypting chunk {chunk}: {message}")
             }
+            F2Error::TornStream { chunk } => write!(
+                f,
+                "the frame write of chunk {chunk} failed, so the stream may end in a torn \
+                 frame; reopen the store with Engine::resume_job"
+            ),
         }
     }
 }

@@ -1,70 +1,66 @@
-//! Push-model streaming jobs: open a stream, append chunks as they arrive,
-//! finish (or crash and resume) — the engine layer under a long-running service.
+//! The one streaming core: [`StreamJob`], an open `F2WS` v2 stream that owns
+//! its frame sink and running totals (chunk records and merged report).
+//! Opening a job writes the preamble and header frame;
+//! [`StreamJob::append_chunk`] encrypts chunk *i* under the seed the in-memory
+//! path gives chunk *i* and appends its frame; [`StreamJob::finish`] writes the
+//! trailer and end marker. Every streaming driver is this job:
 //!
-//! [`Engine::run_streaming`] is pull-model: it owns the loop and drains a
-//! [`RowSource`](f2_io::RowSource) to completion in one call. A server cannot
-//! use that shape — rows arrive from a client one request at a time, with
-//! arbitrary gaps (and possibly a process restart) between them. [`StreamJob`]
-//! inverts control while reusing the exact same per-chunk encoder, so the bytes
-//! a job writes are **byte-identical** to what `run_streaming` would have
-//! produced over the same rows, scheme, and engine configuration:
+//! * [`Engine::run_streaming`] drives it with a pull loop over a source;
+//! * [`Engine::begin_job`] truncates a [`StreamStore`] and hands the job to a
+//!   caller who pushes chunks as they arrive — the shape a server needs, with
+//!   rows arriving one request at a time. Chunks must be full `chunk_rows`
+//!   chunks until the final short one, as on the pull path (violations are
+//!   typed errors);
+//! * [`Engine::resume_streaming`] and [`Engine::resume_job`] reopen it after
+//!   the intact prefix of an interrupted stream ([`crate::resume`]);
+//!   `resume_job` needs no source, and the caller re-sends rows from
+//!   [`StreamJob::rows`] onward.
 //!
-//! * [`Engine::begin_job`] truncates a [`StreamStore`] and writes the preamble
-//!   and header frame.
-//! * [`StreamJob::append_chunk`] encrypts one chunk and appends its frame —
-//!   the caller must push full `chunk_rows` chunks until the final short one,
-//!   exactly like a source on the pull path (violations are typed errors).
-//! * [`StreamJob::finish`] writes the trailer and end marker and returns the
-//!   same [`StreamOutcome`] the pull path reports.
-//! * [`Engine::resume_job`] reopens a store torn by a crash or disconnect:
-//!   it scans the intact prefix (the same validation as
-//!   [`Engine::resume_streaming`]), truncates the tear, and returns a job
-//!   positioned at the next chunk index. Unlike `resume_streaming` it needs
-//!   **no source**: backends with derivable per-chunk reports rebuild their
-//!   running totals arithmetically, and F² rebuilds them by decrypting each
-//!   stored prefix chunk and re-encrypting it under its recorded seed,
-//!   verifying the re-encryption CRC-matches the stored frame (which proves
-//!   the store, owner state, and key material all still agree). The caller
-//!   re-sends rows from [`StreamJob::rows`] onward.
-//!
-//! This is the substrate `f2_server` builds its crash-resumable, multi-tenant
-//! job sessions on; it is equally usable directly for incremental encryption
-//! pipelines that materialize rows in batches.
+//! So pushed, pulled, and resumed streams over the same rows, scheme, and
+//! engine configuration are **byte-identical**. A failed frame write may leave
+//! a torn frame behind, so from then on the job refuses to append or finish
+//! ([`F2Error::TornStream`]) until [`Engine::resume_job`] reopens the store; a
+//! chunk refused before any byte is written (wrong size, encryption error)
+//! leaves the job usable. `f2_server` builds its crash-resumable job sessions
+//! on this.
 
-use crate::persist::{decode_table, encode_table, put_schema, StatefulScheme};
-use crate::pipeline::{merge_reports, ChunkRecord, Engine};
-use crate::resume::StreamPrefix;
+use crate::persist::StatefulScheme;
+use crate::pipeline::{adopt, encrypt_chunk, ChunkRecord, Engine};
 use crate::stream::{
-    encode_chunk, finish_stream, put_chunk_record, take_chunk_record, StreamOutcome,
-    StreamProgress, FRAME_CHUNK, FRAME_HEADER,
+    pull, ChunkPayload, StreamHeader, StreamOutcome, Trailer, FRAME_CHUNK, FRAME_HEADER,
+    FRAME_TRAILER,
 };
-use crate::wire::{Reader, Writer};
-use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
-use f2_io::frame::{crc32, FrameReader, FrameSink};
-use f2_io::{RetryPolicy, RetryingWriter, StreamStore, TableChunk};
+use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result};
+use f2_io::frame::FrameSink;
+use f2_io::{IoError, RetryPolicy, RetryingWriter, RowSource, StreamStore, TableChunk};
 use f2_relation::Schema;
-use std::io::{Seek, SeekFrom};
+use std::io::{Seek, SeekFrom, Write};
 
-/// An open push-model encryption stream over a [`StreamStore`].
+/// An open encryption stream over a writer — for the push model, a
+/// [`StreamStore`].
 ///
 /// Created by [`Engine::begin_job`] or [`Engine::resume_job`]; see the
-/// [module docs](self) for the contract. The job owns the store (through the
+/// [module docs](self) for the contract. The job owns the writer (through the
 /// engine's retrying writer) until [`StreamJob::finish`] closes the stream.
-pub struct StreamJob<T: StreamStore> {
+pub struct StreamJob<W: Write> {
     seed: u64,
     chunk_rows: usize,
-    sink: FrameSink<RetryingWriter<T>>,
-    progress: StreamProgress,
+    sink: FrameSink<RetryingWriter<W>>,
+    chunks: Vec<ChunkRecord>,
+    report: EncryptionReport,
+    /// Set once a frame write failed: the writer may end in a torn frame.
+    torn: bool,
 }
 
-impl<T: StreamStore> std::fmt::Debug for StreamJob<T> {
+impl<W: Write> std::fmt::Debug for StreamJob<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamJob")
             .field("chunk_rows", &self.chunk_rows)
-            .field("rows", &self.progress.rows)
-            .field("encrypted_rows", &self.progress.encrypted_rows)
-            .field("chunks", &self.progress.chunks.len())
+            .field("rows", &self.rows())
+            .field("encrypted_rows", &self.encrypted_rows())
+            .field("chunks", &self.chunks.len())
             .field("bytes_written", &self.sink.bytes_written())
+            .field("torn", &self.torn)
             .finish_non_exhaustive()
     }
 }
@@ -79,25 +75,8 @@ impl Engine {
         S: ChunkedScheme + StatefulScheme + ?Sized,
         T: StreamStore,
     {
-        if schema.arity() == 0 {
-            return Err(F2Error::UnsupportedInput("schema has no attributes".into()));
-        }
-        store.set_len(0).map_err(io_err)?;
-        seek_to(&mut store, 0)?;
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
-        let mut sink = FrameSink::new(retry.writer(store)).map_err(F2Error::from)?;
-        let mut header = Writer::raw();
-        header.put_str(scheme.name());
-        header.put_u64(self.config().seed);
-        header.put_usize(self.config().chunk_rows);
-        put_schema(&mut header, schema);
-        sink.write_frame(FRAME_HEADER, &header.finish()).map_err(F2Error::from)?;
-        Ok(StreamJob {
-            seed: self.config().seed,
-            chunk_rows: self.config().chunk_rows,
-            sink,
-            progress: StreamProgress::start(),
-        })
+        truncate(&mut store, 0)?;
+        self.begin(scheme, schema, store)
     }
 
     /// Reopen an interrupted push-model stream in `store`, returning a job
@@ -109,41 +88,57 @@ impl Engine {
     /// A store torn before its first chunk frame starts over from scratch
     /// (exactly [`Engine::begin_job`]); a readable header that contradicts the
     /// scheme, engine configuration, or `schema` is an error, not damage. No
-    /// source is needed: see the [module docs](self) for how each backend's
-    /// running report is rebuilt, and the CRC cross-check that catches a
-    /// store/key mismatch before any new bytes are written.
-    pub fn resume_job<S, T>(
-        &self,
-        scheme: &S,
-        schema: &Schema,
-        mut store: T,
-    ) -> Result<StreamJob<T>>
+    /// source is needed: the prefix chunks' plaintext is decrypted from the
+    /// store, and F²'s re-encryption must CRC-match the stored frames, which
+    /// catches a store/key mismatch before any new bytes are written (see
+    /// [`crate::resume`]).
+    pub fn resume_job<S, T>(&self, scheme: &S, schema: &Schema, store: T) -> Result<StreamJob<T>>
     where
         S: ChunkedScheme + StatefulScheme + ?Sized,
         T: StreamStore,
     {
-        crate::obs::resumes().inc();
-        seek_to(&mut store, 0)?;
-        let Some(prefix) = self.scan_prefix(scheme, schema, &mut store)? else {
-            // Nothing usable survives a torn preamble or header frame.
-            return self.begin_job(scheme, schema, store);
+        self.reopen(scheme, schema, store, None)
+    }
+
+    /// Open a stream in `writer` — preamble and header frame — as a job at
+    /// chunk 0: how every driver begins.
+    pub(crate) fn begin<S, W>(&self, scheme: &S, schema: &Schema, writer: W) -> Result<StreamJob<W>>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+        W: Write,
+    {
+        if schema.arity() == 0 {
+            return Err(F2Error::UnsupportedInput("schema has no attributes".into()));
+        }
+        // Transient write failures are absorbed *below* the frame layer: a
+        // failed raw `write` is guaranteed to have written nothing, so retrying
+        // it is exact, whereas retrying a whole `write_frame` could duplicate
+        // the bytes a partially-successful `write_all` already pushed out.
+        let mut job = self.job(FrameSink::new(self.retry_policy().writer(writer))?);
+        let header = StreamHeader {
+            scheme: scheme.name().into(),
+            seed: self.config().seed,
+            chunk_rows: self.config().chunk_rows,
+            schema: schema.clone(),
         };
-        let mut progress = StreamProgress::start();
-        replay_stored_prefix(scheme, &prefix, &mut store, &mut progress)?;
-        store.set_len(prefix.bytes).map_err(io_err)?;
-        seek_to(&mut store, prefix.bytes)?;
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
-        let sink = FrameSink::resume(retry.writer(store), prefix.bytes, prefix.frames);
-        Ok(StreamJob {
+        job.write(FRAME_HEADER, &header.encode())?;
+        Ok(job)
+    }
+
+    /// A job over `sink` with no chunks adopted yet.
+    pub(crate) fn job<W: Write>(&self, sink: FrameSink<RetryingWriter<W>>) -> StreamJob<W> {
+        StreamJob {
             seed: self.config().seed,
             chunk_rows: self.config().chunk_rows,
             sink,
-            progress,
-        })
+            chunks: Vec::new(),
+            report: EncryptionReport::default(),
+            torn: false,
+        }
     }
 }
 
-impl<T: StreamStore> StreamJob<T> {
+impl<W: Write> StreamJob<W> {
     /// Encrypt `chunk` and append its frame, returning the chunk's provenance
     /// record. The pull path's invariants apply: every chunk must hold
     /// `1..=chunk_rows` rows, and a short chunk must be the stream's last —
@@ -152,54 +147,99 @@ impl<T: StreamStore> StreamJob<T> {
     where
         S: ChunkedScheme + StatefulScheme + ?Sized,
     {
-        encode_chunk(
-            scheme,
-            self.seed,
-            self.chunk_rows,
-            chunk,
-            &mut self.sink,
-            &mut self.progress,
-        )?;
-        // encode_chunk pushed exactly one record on success.
-        self.progress
-            .chunks
+        self.intact()?;
+        let chunk_len = chunk.row_count();
+        let chunk_rows = self.chunk_rows;
+        if chunk_len == 0 || chunk_len > chunk_rows {
+            return Err(F2Error::UnsupportedInput(format!(
+                "source produced a {chunk_len}-row chunk (expected 1..={chunk_rows})"
+            )));
+        }
+        if self.chunks.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
+            return Err(F2Error::UnsupportedInput(
+                "source produced a short chunk before the final one \
+                 (chunk boundaries would diverge from the in-memory path)"
+                    .into(),
+            ));
+        }
+        let encrypted = encrypt_chunk(scheme, self.seed, self.chunks.len(), chunk)?;
+        let record = encrypted.record(&self.chunks, 0);
+        let payload = {
+            let _serialize = f2_obs::span!("engine.chunk.serialize");
+            let state = scheme.save_state(&encrypted.outcome)?;
+            ChunkPayload::encode(&record, &state, &encrypted.outcome.encrypted)
+        };
+        {
+            let _write = f2_obs::span!("engine.chunk.write");
+            self.write(FRAME_CHUNK, &payload)?;
+        }
+        crate::obs::chunk_encrypted(chunk_len, record.output_rows.len(), record.wall);
+        // Attribute this chunk's volume to the active request trace, if any (the
+        // server runs each request under one); no-ops otherwise.
+        f2_obs::ctx::add_count("rows", chunk_len as u64);
+        f2_obs::ctx::add_count("encrypted_rows", record.output_rows.len() as u64);
+        f2_obs::ctx::add_count("chunk_bytes", payload.len() as u64);
+        f2_obs::trace_event(
+            "engine.chunk",
+            &[
+                ("index", record.index as u64),
+                ("rows", chunk_len as u64),
+                ("encrypted_rows", record.output_rows.len() as u64),
+                ("stream_bytes", self.sink.bytes_written()),
+            ],
+        );
+        adopt(&mut self.chunks, &mut self.report, record, &encrypted.outcome.report);
+        self.chunks
             .last()
             .ok_or_else(|| F2Error::UnsupportedInput("chunk was encoded but not recorded".into()))
+        // `encrypted` (the only live copy of the chunk's ciphertext) drops here.
     }
 
     /// Write the trailer and end marker, close the stream, and report the
     /// totals — identical in content to [`Engine::run_streaming`]'s outcome.
     pub fn finish(self) -> Result<StreamOutcome> {
-        finish_stream(self.sink, self.progress).map(|(outcome, _)| outcome)
+        self.finish_into_store().map(|(outcome, _)| outcome)
     }
 
     /// Like [`StreamJob::finish`], but also hand the store back — for callers
     /// that need to sync, inspect, or reuse it after the stream closes.
-    pub fn finish_into_store(self) -> Result<(StreamOutcome, T)> {
-        finish_stream(self.sink, self.progress)
-            .map(|(outcome, writer)| (outcome, writer.into_inner()))
+    pub fn finish_into_store(mut self) -> Result<(StreamOutcome, W)> {
+        self.intact()?;
+        let trailer = Trailer {
+            chunks: self.chunks.len(),
+            rows: self.rows(),
+            encrypted_rows: self.encrypted_rows(),
+            report: std::mem::take(&mut self.report),
+        };
+        self.write(FRAME_TRAILER, &trailer.encode())?;
+        let (writer, bytes_written) = self.sink.finish()?;
+        crate::obs::stream_bytes_total().add(bytes_written);
+        let Trailer { rows, encrypted_rows, report, .. } = trailer;
+        let outcome =
+            StreamOutcome { chunks: self.chunks, rows, encrypted_rows, bytes_written, report };
+        Ok((outcome, writer.into_inner()))
     }
 
     /// Plaintext rows encrypted so far — the row index the next append's
     /// chunk must start at (and the resume point a reconnecting client
     /// re-sends from).
     pub fn rows(&self) -> usize {
-        self.progress.rows
+        self.chunks.last().map_or(0, |last| last.rows.end)
     }
 
     /// Encrypted rows written so far (padding rows included).
     pub fn encrypted_rows(&self) -> usize {
-        self.progress.encrypted_rows
+        self.chunks.last().map_or(0, |last| last.output_rows.end)
     }
 
     /// Index the next appended chunk will occupy.
     pub fn next_chunk_index(&self) -> usize {
-        self.progress.chunks.len()
+        self.chunks.len()
     }
 
     /// Provenance of the chunks written so far, in order.
     pub fn chunks(&self) -> &[ChunkRecord] {
-        &self.progress.chunks
+        &self.chunks
     }
 
     /// The stream's pinned chunk size.
@@ -211,94 +251,71 @@ impl<T: StreamStore> StreamJob<T> {
     pub fn bytes_written(&self) -> u64 {
         self.sink.bytes_written()
     }
-}
 
-/// Rebuild the running [`StreamProgress`] for a validated prefix using only
-/// the store. Backends whose per-chunk reports are derivable from the row
-/// count rebuild arithmetically; F² decrypts each stored chunk, re-encrypts
-/// it under its recorded seed, and requires the re-encryption to CRC-match
-/// the stored frame payload before trusting its report.
-fn replay_stored_prefix<S, T>(
-    scheme: &S,
-    prefix: &StreamPrefix,
-    store: &mut T,
-    progress: &mut StreamProgress,
-) -> Result<()>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    T: StreamStore,
-{
-    let rederived: Option<Vec<_>> =
-        prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
-    if let Some(reports) = rederived {
-        for (record, report) in prefix.records.iter().zip(&reports) {
-            merge_reports(&mut progress.report, report);
-            progress.rows = record.rows.end;
-            progress.encrypted_rows = record.output_rows.end;
-            progress.chunks.push(record.clone());
-        }
-        return Ok(());
-    }
-
-    seek_to(store, 0)?;
-    let mut frames = FrameReader::new(&mut *store).map_err(F2Error::from)?;
-    // scan_prefix already validated the header frame; skip past it.
-    let header = frames.next_frame().map_err(F2Error::from)?;
-    if header.as_ref().map(|f| f.frame_type) != Some(FRAME_HEADER) {
-        return Err(F2Error::UnsupportedInput(
-            "stream changed between prefix scan and replay (header frame vanished)".into(),
-        ));
-    }
-    for (record, &stored_crc) in prefix.records.iter().zip(&prefix.payload_crcs) {
-        let frame = frames
-            .next_frame()
-            .map_err(F2Error::from)?
-            .filter(|f| f.frame_type == FRAME_CHUNK)
-            .ok_or_else(|| {
-                F2Error::UnsupportedInput(
-                    "stream changed between prefix scan and replay (chunk frame vanished)".into(),
-                )
+    /// Append every chunk `source` still holds, then finish: the pull loop of
+    /// [`Engine::run_streaming`] and [`Engine::resume_streaming`]. Each pulled
+    /// chunk — the only live copy of its plaintext — drops before the next
+    /// pull.
+    pub(crate) fn drain<S>(
+        mut self,
+        scheme: &S,
+        source: &mut dyn RowSource,
+        retry: &RetryPolicy,
+    ) -> Result<StreamOutcome>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+    {
+        loop {
+            let appended = pull(source, retry, self.chunk_rows, true, |chunk| match chunk {
+                Some(chunk) => self.append_chunk(scheme, &chunk).map(|_| true),
+                None => Ok(false),
             })?;
-        let mut r = Reader::raw(&frame.payload);
-        let _ = take_chunk_record(&mut r)?;
-        let state_blob = r.bytes().map_err(F2Error::from)?.to_vec();
-        let encrypted = decode_table(r.bytes().map_err(F2Error::from)?)?;
-        r.finish().map_err(F2Error::from)?;
-        let stored = SchemeOutcome {
-            encrypted,
-            state: scheme.load_state(&state_blob)?,
-            report: EncryptionReport::default(),
-        };
-        // `Scheme::decrypt` restores original row order (provenance rows are
-        // sorted by source index), so re-encrypting its output under the
-        // chunk's recorded seed must reproduce the stored bytes exactly.
-        let plain = scheme.decrypt(&stored)?;
-        let reencrypted = scheme.reseeded(record.seed).encrypt(&plain)?;
-        let mut payload = Writer::raw();
-        put_chunk_record(&mut payload, record);
-        payload.put_bytes(&scheme.save_state(&reencrypted)?);
-        payload.put_bytes(&encode_table(&reencrypted.encrypted));
-        if crc32(&payload.finish()) != stored_crc {
-            return Err(F2Error::UnsupportedInput(format!(
-                "chunk {} re-encryption differs from the stored stream — the store was \
-                 written under different key material or scheme parameters than the \
-                 resuming scheme holds",
-                record.index
-            )));
+            if !appended {
+                return self.finish();
+            }
         }
-        merge_reports(&mut progress.report, &reencrypted.report);
-        progress.rows = record.rows.end;
-        progress.encrypted_rows = record.output_rows.end;
-        progress.chunks.push(record.clone());
     }
-    Ok(())
+
+    /// Adopt a replayed prefix: `records`, in order, with the reports the
+    /// replay rebuilt for them. No chunk metric moves — these chunks were
+    /// counted when they were first encrypted.
+    pub(crate) fn adopt_prefix(&mut self, records: Vec<ChunkRecord>, reports: &[EncryptionReport]) {
+        for (record, report) in records.into_iter().zip(reports) {
+            adopt(&mut self.chunks, &mut self.report, record, report);
+        }
+    }
+
+    /// Refuse to go on after a failed frame write (see the [module docs](self)).
+    fn intact(&self) -> Result<()> {
+        if self.torn {
+            return Err(F2Error::TornStream { chunk: self.chunks.len() });
+        }
+        Ok(())
+    }
+
+    /// Write one frame. An I/O failure may have landed part of the frame, so
+    /// it tears the job; an oversized payload is refused before any byte is
+    /// written.
+    fn write(&mut self, frame_type: u8, payload: &[u8]) -> Result<()> {
+        self.sink.write_frame(frame_type, payload).map_err(|error| {
+            self.torn |= matches!(error, IoError::Io(_));
+            F2Error::from(error)
+        })
+    }
 }
 
 fn io_err(error: std::io::Error) -> F2Error {
-    F2Error::from(f2_io::IoError::Io(error))
+    F2Error::from(IoError::Io(error))
 }
 
-fn seek_to<T: Seek>(store: &mut T, pos: u64) -> Result<()> {
+/// Position `store` at byte `pos`.
+pub(crate) fn seek_to<T: Seek>(store: &mut T, pos: u64) -> Result<()> {
     store.seek(SeekFrom::Start(pos)).map_err(io_err)?;
     Ok(())
+}
+
+/// Cut `store` back to its first `len` bytes and position it there.
+pub(crate) fn truncate<T: StreamStore>(store: &mut T, len: u64) -> Result<()> {
+    store.set_len(len).map_err(io_err)?;
+    seek_to(store, len)
 }

@@ -22,11 +22,12 @@
 //! chunks; and a damaged preamble fails the whole call — the 7-byte preamble
 //! is what identifies the stream format in the first place.
 
-use crate::persist::{decode_table, take_report, StatefulScheme};
-use crate::stream::{take_chunk_record, FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
-use crate::wire::Reader;
-use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
-use f2_io::frame::{Frame, FrameReader};
+use crate::persist::StatefulScheme;
+use crate::stream::{
+    ChunkPayload, StreamHeader, Trailer, FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER,
+};
+use f2_core::{ChunkedScheme, F2Error, Result};
+use f2_io::frame::FrameReader;
 use f2_io::SkippedRange;
 use f2_relation::Table;
 use std::io::Read;
@@ -131,40 +132,32 @@ where
             FRAME_HEADER => {
                 // Validate the scheme name when the header is intact — a
                 // wrong-scheme salvage would "recover" garbage rows.
-                let mut r = Reader::raw(&frame.payload);
-                if let Ok(name) = r.str() {
-                    if name != scheme.name() {
-                        return Err(F2Error::UnsupportedInput(format!(
-                            "stream was produced by the `{name}` scheme, salvage holds `{}`",
-                            scheme.name()
-                        )));
-                    }
+                if let Ok(header) = StreamHeader::decode(&frame.payload) {
+                    header.check_scheme(scheme.name(), "salvage")?;
                 }
                 report.header_recovered = true;
             }
-            FRAME_CHUNK => match salvage_chunk(scheme, &frame) {
-                Some((index, plain)) => {
-                    indices_seen = indices_seen.max(index + 1);
-                    report.chunks_recovered += 1;
-                    report.rows_recovered += plain.row_count();
-                    emit(plain)?;
+            FRAME_CHUNK => {
+                let salvaged = ChunkPayload::decode(&frame.payload)
+                    .and_then(|chunk| Ok((chunk.record.index, chunk.decrypt(scheme)?)));
+                match salvaged {
+                    Ok((index, plain)) => {
+                        indices_seen = indices_seen.max(index + 1);
+                        report.chunks_recovered += 1;
+                        report.rows_recovered += plain.row_count();
+                        emit(plain)?;
+                    }
+                    // A CRC-valid frame whose payload does not decode, whose
+                    // state blob the scheme rejects, or whose ciphertext fails
+                    // to decrypt is a lost chunk, not a fatal error: its
+                    // neighbours are still intact.
+                    Err(_) => report.chunks_lost += 1,
                 }
-                // A CRC-valid frame that fails to decode or decrypt is a lost
-                // chunk, not a fatal error: its neighbours are still intact.
-                None => report.chunks_lost += 1,
-            },
+            }
             FRAME_TRAILER => {
-                let mut r = Reader::raw(&frame.payload);
-                let parsed = (|| -> Result<(usize, usize)> {
-                    let chunks = r.usize().map_err(F2Error::from)?;
-                    let rows = r.usize().map_err(F2Error::from)?;
-                    let _encrypted_rows = r.usize().map_err(F2Error::from)?;
-                    let _report = take_report(&mut r)?;
-                    Ok((chunks, rows))
-                })();
-                if let Ok((chunks, rows)) = parsed {
-                    report.chunks_total = Some(chunks);
-                    trailer_rows = Some(rows);
+                if let Ok(trailer) = Trailer::decode(&frame.payload) {
+                    report.chunks_total = Some(trailer.chunks);
+                    trailer_rows = Some(trailer.rows);
                     report.trailer_recovered = true;
                 }
             }
@@ -205,28 +198,4 @@ where
         }
     }
     Ok(report)
-}
-
-/// Decode and decrypt one chunk frame; `None` means the chunk is lost even
-/// though its frame's checksum verified (undecodable payload, state blob the
-/// scheme rejects, or ciphertext that fails to decrypt).
-fn salvage_chunk<S>(scheme: &S, frame: &Frame) -> Option<(usize, Table)>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-{
-    let mut r = Reader::raw(&frame.payload);
-    let record = take_chunk_record(&mut r).ok()?;
-    let state_blob = r.bytes().ok()?.to_vec();
-    let encrypted = decode_table(r.bytes().ok()?).ok()?;
-    r.finish().ok()?;
-    if encrypted.row_count() != record.output_rows.len() {
-        return None;
-    }
-    let chunk_outcome = SchemeOutcome {
-        encrypted,
-        state: scheme.load_state(&state_blob).ok()?,
-        report: EncryptionReport::default(),
-    };
-    let plain = scheme.decrypt(&chunk_outcome).ok()?;
-    Some((record.index, plain))
 }

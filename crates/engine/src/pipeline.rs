@@ -16,7 +16,7 @@
 //! one as far as the decryptor is concerned.
 
 use f2_core::{ChunkState, ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
-use f2_io::RetryPolicy;
+use f2_io::{RetryPolicy, TableChunk};
 use f2_relation::Table;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +29,91 @@ use std::time::{Duration, Instant};
 /// nonce domains.
 pub fn chunk_seed(engine_seed: u64, index: u64) -> u64 {
     f2_crypto::splitmix64(engine_seed ^ (index.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// Validate that a stored chunk record carries the seed this engine would have
+/// derived for its index — resume refuses to extend a stream whose chunk seeds
+/// were not produced from the engine seed it holds.
+pub(crate) fn verify_chunk_seed(engine_seed: u64, index: u64, stored: u64) -> Result<()> {
+    if chunk_seed(engine_seed, index) != stored {
+        return Err(F2Error::UnsupportedInput(format!(
+            "stream chunk {index} was encrypted under a different engine seed"
+        )));
+    }
+    Ok(())
+}
+
+/// One chunk as [`encrypt_chunk`] left it: the outcome, the plaintext rows it
+/// held, the seed it ran under, and its wall-clock encryption time.
+pub(crate) struct EncryptedChunk {
+    pub(crate) outcome: SchemeOutcome,
+    rows: usize,
+    seed: u64,
+    wall: Duration,
+}
+
+impl EncryptedChunk {
+    /// The record this chunk takes as the next chunk of a run whose records so
+    /// far are `chunks`: its ranges continue where the last record's end.
+    pub(crate) fn record(&self, chunks: &[ChunkRecord], worker: usize) -> ChunkRecord {
+        let (index, row, output) = ChunkRecord::after(chunks.last());
+        ChunkRecord {
+            index,
+            rows: row..row + self.rows,
+            output_rows: output..output + self.outcome.encrypted.row_count(),
+            seed: self.seed,
+            worker,
+            wall: self.wall,
+        }
+    }
+}
+
+/// Encrypt chunk `index` of a run under `chunk_seed(engine_seed, index)`: the
+/// per-chunk step of every driver. Owned chunks go straight through `encrypt`
+/// (a view of an owned table would clone its rows again), borrowed ones take
+/// the zero-copy view path — byte-identical by the `encrypt_view` contract
+/// (pinned by `tests/stream_parity.rs`).
+pub(crate) fn encrypt_chunk<S: ChunkedScheme + ?Sized>(
+    scheme: &S,
+    engine_seed: u64,
+    index: usize,
+    chunk: &TableChunk<'_>,
+) -> Result<EncryptedChunk> {
+    let seed = chunk_seed(engine_seed, index as u64);
+    let start = Instant::now();
+    let reseeded = scheme.reseeded(seed);
+    let outcome = match chunk {
+        TableChunk::Owned(table) => reseeded.encrypt(table)?,
+        TableChunk::Borrowed(view) => reseeded.encrypt_view(view)?,
+    };
+    Ok(EncryptedChunk { outcome, rows: chunk.row_count(), seed, wall: start.elapsed() })
+}
+
+/// Adopt one chunk into a run's totals — the one accumulation step of every
+/// driver (in-memory reassembly, stream appends, a resume's replayed prefix):
+/// its record joins `chunks`, and its timings and row counts add up into
+/// `total`. The timing sums are CPU time across workers, not elapsed time (the
+/// per-chunk elapsed times live in [`ChunkRecord::wall`]).
+pub(crate) fn adopt(
+    chunks: &mut Vec<ChunkRecord>,
+    total: &mut EncryptionReport,
+    record: ChunkRecord,
+    chunk: &EncryptionReport,
+) {
+    chunks.push(record);
+    total.timings.max += chunk.timings.max;
+    total.timings.sse += chunk.timings.sse;
+    total.timings.syn += chunk.timings.syn;
+    total.timings.fp += chunk.timings.fp;
+    total.overhead.original_rows += chunk.overhead.original_rows;
+    total.overhead.group_rows += chunk.overhead.group_rows;
+    total.overhead.scale_rows += chunk.overhead.scale_rows;
+    total.overhead.syn_rows += chunk.overhead.syn_rows;
+    total.overhead.fp_rows += chunk.overhead.fp_rows;
+    total.mas_count += chunk.mas_count;
+    total.overlapping_mas_pairs += chunk.overlapping_mas_pairs;
+    total.equivalence_classes += chunk.equivalence_classes;
+    total.false_positive_fds += chunk.false_positive_fds;
 }
 
 /// Configuration of an [`Engine`].
@@ -96,6 +181,20 @@ pub struct ChunkRecord {
     pub wall: Duration,
 }
 
+impl ChunkRecord {
+    /// Where the chunk after `last` (`None`: a run's first chunk) starts: its
+    /// index, plaintext row, and output row — equally, the totals of a run
+    /// that ends with `last`.
+    pub(crate) fn after(last: Option<&ChunkRecord>) -> (usize, usize, usize) {
+        last.map_or((0, 0, 0), |last| (last.index + 1, last.rows.end, last.output_rows.end))
+    }
+
+    /// Whether this record continues the run that ends with `last` gaplessly.
+    pub(crate) fn follows(&self, last: Option<&ChunkRecord>) -> bool {
+        ChunkRecord::after(last) == (self.index, self.rows.start, self.output_rows.start)
+    }
+}
+
 /// Result of one [`Engine::encrypt`] run.
 #[derive(Debug)]
 pub struct EngineOutcome {
@@ -113,12 +212,9 @@ pub struct Engine {
     retry: Option<RetryPolicy>,
 }
 
-/// What one worker records for one finished chunk.
-struct ChunkSlot {
-    outcome: SchemeOutcome,
-    worker: usize,
-    wall: Duration,
-}
+/// One worker's result for one chunk: the encrypted chunk and the worker that
+/// encrypted it.
+type ChunkSlot = Mutex<Option<Result<(EncryptedChunk, usize)>>>;
 
 impl Engine {
     /// Create an engine, validating the configuration.
@@ -132,11 +228,14 @@ impl Engine {
         &self.config
     }
 
-    /// Opt the *streaming* paths into transient-failure retries: source pulls
-    /// and sink writes in [`Engine::run_streaming`] run under `policy`
-    /// (bounded attempts, deterministic backoff — see [`RetryPolicy`]). The
-    /// in-memory [`Engine::encrypt`] does no I/O and is unaffected. Without
-    /// this, every I/O error is final — the fault-free hot path pays nothing.
+    /// Opt the *streaming* paths into transient-failure retries under `policy`
+    /// (bounded attempts, deterministic backoff — see [`RetryPolicy`]): source
+    /// pulls and stream writes in [`Engine::run_streaming`] and
+    /// [`Engine::resume_streaming`] (its prefix-replay pulls included), and
+    /// store writes in the jobs [`Engine::begin_job`] and [`Engine::resume_job`]
+    /// open. The in-memory [`Engine::encrypt`] does no I/O and is unaffected.
+    /// Without this, every I/O error is final — the fault-free hot path pays
+    /// nothing.
     #[must_use]
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
@@ -147,6 +246,12 @@ impl Engine {
     /// [`Engine::with_retry`].
     pub fn retry(&self) -> Option<&RetryPolicy> {
         self.retry.as_ref()
+    }
+
+    /// The retry policy the streaming paths run under: the opted-into one, or
+    /// none at all.
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
+        self.retry.clone().unwrap_or_else(RetryPolicy::disabled)
     }
 
     /// Encrypt `table` with `scheme`, chunked and (for `workers > 1`) in parallel.
@@ -165,8 +270,7 @@ impl Engine {
             .step_by(self.config.chunk_rows)
             .map(|start| start..(start + self.config.chunk_rows).min(table.row_count()))
             .collect();
-        let slots: Vec<Mutex<Option<Result<ChunkSlot>>>> =
-            ranges.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<ChunkSlot> = ranges.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
 
         let run_worker = |worker: usize| loop {
@@ -182,17 +286,14 @@ impl Engine {
                 // A borrowed view, not a cloned sub-table: cell-wise backends encrypt
                 // straight off the parent's rows, and F² materialises with the
                 // chunk's dictionaries derived from the parent's index.
-                let chunk = table.view(range.clone())?;
-                let start = Instant::now();
-                let outcome = scheme
-                    .reseeded(chunk_seed(self.config.seed, index as u64))
-                    .encrypt_view(&chunk)?;
-                Ok(ChunkSlot { outcome, worker, wall: start.elapsed() })
+                let chunk = TableChunk::Borrowed(table.view(range.clone())?);
+                encrypt_chunk(scheme, self.config.seed, index, &chunk)
             }));
             let result = attempt.unwrap_or_else(|payload| {
                 Err(F2Error::WorkerPanicked { chunk: index, message: panic_text(&*payload) })
             });
-            *slots[index].lock().expect("no poisoned chunk slot") = Some(result);
+            *slots[index].lock().expect("no poisoned chunk slot") =
+                Some(result.map(|chunk| (chunk, worker)));
         };
 
         let workers = self.config.workers.min(ranges.len());
@@ -207,46 +308,32 @@ impl Engine {
             });
         }
 
-        self.assemble(scheme, &ranges, slots)
+        Self::assemble(scheme, slots)
     }
 
     /// Reassemble per-chunk outcomes (in chunk order) into one table-level outcome.
-    fn assemble(
-        &self,
-        scheme: &dyn ChunkedScheme,
-        ranges: &[Range<usize>],
-        slots: Vec<Mutex<Option<Result<ChunkSlot>>>>,
-    ) -> Result<EngineOutcome> {
+    fn assemble(scheme: &dyn ChunkedScheme, slots: Vec<ChunkSlot>) -> Result<EngineOutcome> {
         let mut encrypted: Option<Table> = None;
-        let mut chunk_states = Vec::with_capacity(ranges.len());
-        let mut chunks = Vec::with_capacity(ranges.len());
+        let mut chunk_states = Vec::with_capacity(slots.len());
+        let mut chunks = Vec::with_capacity(slots.len());
         let mut report = EncryptionReport::default();
-        for (index, (range, slot)) in ranges.iter().zip(slots).enumerate() {
-            let ChunkSlot { outcome, worker, wall } = slot
+        for slot in slots {
+            let (chunk, worker) = slot
                 .into_inner()
                 .expect("no poisoned chunk slot")
                 .expect("every chunk index was claimed by a worker")?;
-            let output_offset = encrypted.as_ref().map_or(0, Table::row_count);
+            let record = chunk.record(&chunks, worker);
             chunk_states.push(ChunkState {
-                row_offset: range.start,
-                output_offset,
-                state: outcome.state,
+                row_offset: record.rows.start,
+                output_offset: record.output_rows.start,
+                state: chunk.outcome.state,
             });
             match &mut encrypted {
-                None => encrypted = Some(outcome.encrypted),
-                Some(table) => table.append(outcome.encrypted)?,
+                None => encrypted = Some(chunk.outcome.encrypted),
+                Some(table) => table.append(chunk.outcome.encrypted)?,
             }
-            let output_end = encrypted.as_ref().map_or(0, Table::row_count);
-            crate::obs::chunk_encrypted(range.len(), output_end - output_offset, wall);
-            chunks.push(ChunkRecord {
-                index,
-                rows: range.clone(),
-                output_rows: output_offset..output_end,
-                seed: chunk_seed(self.config.seed, index as u64),
-                worker,
-                wall,
-            });
-            merge_reports(&mut report, &outcome.report);
+            crate::obs::chunk_encrypted(record.rows.len(), record.output_rows.len(), record.wall);
+            adopt(&mut chunks, &mut report, record, &chunk.outcome.report);
         }
         let encrypted = encrypted.expect("tables with rows produce at least one chunk");
         let state = scheme.merge_chunk_states(chunk_states)?;
@@ -262,25 +349,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// Accumulate one chunk's report into the table-level report: timings and row counts
-/// add up; the wall-clock sums are CPU time across workers, not elapsed time (the
-/// per-chunk elapsed times live in [`ChunkRecord::wall`]).
-pub(crate) fn merge_reports(total: &mut EncryptionReport, chunk: &EncryptionReport) {
-    total.timings.max += chunk.timings.max;
-    total.timings.sse += chunk.timings.sse;
-    total.timings.syn += chunk.timings.syn;
-    total.timings.fp += chunk.timings.fp;
-    total.overhead.original_rows += chunk.overhead.original_rows;
-    total.overhead.group_rows += chunk.overhead.group_rows;
-    total.overhead.scale_rows += chunk.overhead.scale_rows;
-    total.overhead.syn_rows += chunk.overhead.syn_rows;
-    total.overhead.fp_rows += chunk.overhead.fp_rows;
-    total.mas_count += chunk.mas_count;
-    total.overlapping_mas_pairs += chunk.overlapping_mas_pairs;
-    total.equivalence_classes += chunk.equivalence_classes;
-    total.false_positive_fds += chunk.false_positive_fds;
 }
 
 #[cfg(test)]

@@ -2,66 +2,73 @@
 //!
 //! lint: untrusted-input — the scan below decodes a possibly damaged stream.
 //!
-//! A streaming encryption job that dies mid-write leaves a *prefix* of a valid
-//! stream behind: the preamble, the header frame, some number of complete
-//! chunk frames, and usually a torn frame at the tail. [`Engine::resume_streaming`]
-//! turns that wreckage back into exactly the stream an uninterrupted run would
-//! have produced:
+//! A streaming job that dies mid-write leaves a *prefix* of a valid stream
+//! behind: the preamble, the header frame, some complete chunk frames, and
+//! usually a torn frame at the tail. [`Engine::resume_streaming`] and
+//! [`Engine::resume_job`] turn it back into exactly the stream an
+//! uninterrupted run would have produced, through one path:
 //!
-//! 1. **Scan** — walk the store's frames, validating the header against the
-//!    engine configuration, scheme, and source, and each chunk record's
-//!    continuity and seed, until the first damage (torn or checksum-failing
-//!    frame) or the trailer.
-//! 2. **Truncate** — cut the store back to the end of the last complete chunk
-//!    frame; a torn tail is unusable by construction, and a surviving trailer
-//!    is rewritten rather than trusted (its totals must cover the whole run).
-//! 3. **Replay** — advance the source past the rows the prefix already
-//!    covers. Backends whose per-chunk report is a pure function of the row
-//!    count ([`ChunkedScheme::rederive_chunk_report`]) skip straight over
-//!    them — and when the source is also a
-//!    [`SeekableSource`](f2_io::SeekableSource), the skip is a single
-//!    `seek_to_row` with **zero** prefix pulls; F² (whose report depends on
-//!    the data) re-encrypts the prefix chunks — deterministic under the
-//!    stored chunk seeds — and verifies them against the stored frames'
-//!    payload checksums, refusing to extend a stream whose source has changed
-//!    since the interrupted run.
-//! 4. **Continue** — encrypt and append the remaining chunks, the trailer,
-//!    and the end frame through the same code path as
-//!    [`Engine::run_streaming`].
+//! 1. **Scan** — walk the frames, validating the header against the engine
+//!    configuration, scheme, and schema, and each chunk record's continuity
+//!    and seed, up to the first damage, the trailer, or a short (final) chunk.
+//! 2. **Replay** — rebuild each prefix chunk's report for the trailer.
+//!    Backends whose report is a pure function of the row count
+//!    ([`ChunkedScheme::rederive_chunk_report`]) derive it. F² re-encrypts the
+//!    chunk's plaintext under its stored seed and requires the result to
+//!    CRC-match the stored frame, refusing to extend a stream it cannot
+//!    reproduce.
+//! 3. **Truncate** — cut the store back to the end of the last complete chunk
+//!    frame (a surviving trailer is rewritten, not trusted).
+//! 4. **Reopen** — return the [`StreamJob`] positioned after the prefix; the
+//!    rest of the stream goes through the same code as a fresh one.
+//!
+//! The two paths differ only in where the replay takes a prefix chunk's
+//! plaintext from:
+//!
+//! * `resume_streaming` pulls it again from the original source, rewound to
+//!   its first row — or, for derivable reports over a
+//!   [`SeekableSource`](f2_io::SeekableSource), seeks past the prefix with
+//!   **zero** pulls. F²'s CRC match proves the source unchanged.
+//! * `resume_job` needs no source: it decrypts each stored chunk frame under
+//!   its own owner state (derivable reports need no reading at all). F²'s CRC
+//!   match proves the store, owner state, and key material still agree.
 //!
 //! The result is **byte-identical** to the uninterrupted stream at every
-//! interruption point (pinned per backend by `tests/resume_golden.rs`):
-//! chunk seeds are pure functions of the engine seed and chunk index,
-//! ciphertexts are deterministic given those seeds, and the persisted trailer
-//! zeroes its run-varying timings. A store damaged before its first chunk
-//! frame (torn preamble or header) has no usable prefix and is restarted from
-//! scratch. Resumes are counted in `f2_engine_resume_total`.
+//! interruption point (pinned by `tests/resume_golden.rs` and
+//! `tests/job_push.rs`): chunk seeds are pure functions of the engine seed and
+//! chunk index, ciphertexts are deterministic under them, and the trailer
+//! zeroes its run-varying timings. A store torn before its first chunk frame
+//! restarts from scratch. Resumes are counted in `f2_engine_resume_total`.
 
-use crate::persist::{encode_table, take_schema, StatefulScheme};
-use crate::pipeline::{merge_reports, ChunkRecord, Engine};
-use crate::stream::{
-    finish_stream, pump_chunks, put_chunk_record, take_chunk_record, verify_chunk_seed,
-    StreamOutcome, StreamProgress, FRAME_CHUNK, FRAME_HEADER,
-};
-use crate::wire::{Reader, Writer};
-use f2_core::{ChunkedScheme, F2Error, Result};
+use crate::job::{seek_to, truncate, StreamJob};
+use crate::persist::StatefulScheme;
+use crate::pipeline::{encrypt_chunk, verify_chunk_seed, ChunkRecord, Engine};
+use crate::stream::{pull, ChunkPayload, StreamHeader, StreamOutcome, FRAME_CHUNK, FRAME_HEADER};
+use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result};
 use f2_io::frame::{crc32, FrameReader, FrameSink};
-use f2_io::{IoError, RetryPolicy, RowSource, StreamStore, TableChunk};
+use f2_io::{RetryPolicy, RowSource, StreamStore, TableChunk};
 use f2_relation::Schema;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 
 /// The validated prefix of an interrupted stream: everything before the first
 /// damaged byte (or before the trailer, for a stream that only lost its tail).
-pub(crate) struct StreamPrefix {
+struct StreamPrefix {
     /// Complete chunk records in order, continuity- and seed-verified.
-    pub(crate) records: Vec<ChunkRecord>,
+    records: Vec<ChunkRecord>,
     /// CRC32 of each chunk frame's (decompressed) payload — what F²'s replay
     /// verification compares its re-encryptions against.
-    pub(crate) payload_crcs: Vec<u32>,
+    payload_crcs: Vec<u32>,
     /// Store offset one past the last complete chunk frame: the resume point.
-    pub(crate) bytes: u64,
+    bytes: u64,
     /// Frames in the prefix (header + chunks) — seeds the resumed sink's count.
-    pub(crate) frames: u64,
+    frames: u64,
+}
+
+impl StreamPrefix {
+    /// Plaintext rows the prefix covers.
+    fn rows(&self) -> usize {
+        self.records.last().map_or(0, |last| last.rows.end)
+    }
 }
 
 impl Engine {
@@ -86,47 +93,58 @@ impl Engine {
         S: ChunkedScheme + StatefulScheme + ?Sized,
         T: StreamStore,
     {
-        crate::obs::resumes().inc();
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
         let schema = source.schema().clone();
-        seek_to(store, 0)?;
-        let prefix = match self.scan_prefix(scheme, &schema, &mut *store)? {
-            Some(prefix) => prefix,
+        let job = self.reopen(scheme, &schema, store, Some(&mut *source))?;
+        job.drain(scheme, source, &self.retry_policy())
+    }
+
+    /// Scan → replay → truncate → reopen: the resume path of both drivers (see
+    /// the [module docs](self)). `source` is where the replay takes a prefix
+    /// chunk's plaintext from: the original source, or — with `None` — the
+    /// stored frame itself. A store with no usable prefix starts over, exactly
+    /// as [`Engine::begin_job`].
+    pub(crate) fn reopen<S, T>(
+        &self,
+        scheme: &S,
+        schema: &Schema,
+        mut store: T,
+        source: Option<&mut dyn RowSource>,
+    ) -> Result<StreamJob<T>>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+        T: StreamStore,
+    {
+        crate::obs::resumes().inc();
+        seek_to(&mut store, 0)?;
+        let Some(prefix) = self.scan_prefix(scheme, schema, &mut store)? else {
+            // Nothing usable survives a torn preamble or header frame.
+            return self.begin_job(scheme, schema, store);
+        };
+        let retry = self.retry_policy();
+        let plaintext = match source {
+            Some(source) => Plaintext::Pulled(source, &retry),
             None => {
-                // Nothing usable survives a torn preamble or header frame:
-                // start the stream over from the first byte.
-                store.set_len(0).map_err(io_err)?;
-                seek_to(store, 0)?;
-                return self.run_streaming(scheme, source, &mut *store);
+                seek_to(&mut store, 0)?;
+                let mut frames = FrameReader::new(&mut store)?;
+                frames.next_frame()?; // the header frame the scan validated
+                Plaintext::Stored(frames)
             }
         };
-        store.set_len(prefix.bytes).map_err(io_err)?;
-        seek_to(store, prefix.bytes)?;
-
-        let mut progress = StreamProgress::start();
-        self.replay_prefix(scheme, source, &retry, &prefix, &mut progress)?;
-
-        let mut sink = FrameSink::resume(retry.writer(&mut *store), prefix.bytes, prefix.frames);
-        pump_chunks(
-            scheme,
-            self.config().seed,
-            self.config().chunk_rows,
-            source,
-            &retry,
-            &mut sink,
-            &mut progress,
-        )?;
-        finish_stream(sink, progress).map(|(outcome, _)| outcome)
+        let reports = replay(scheme, self.config().seed, &prefix, plaintext)?;
+        truncate(&mut store, prefix.bytes)?;
+        let mut job = self.job(FrameSink::resume(retry.writer(store), prefix.bytes, prefix.frames));
+        job.adopt_prefix(prefix.records, &reports);
+        Ok(job)
     }
 
     /// Scan the store for its intact prefix. `Ok(None)` means no usable prefix
     /// (torn preamble or header frame); a readable header that contradicts the
-    /// engine configuration, scheme, or source schema is a hard error — the
-    /// caller would otherwise splice two different runs into one stream.
-    pub(crate) fn scan_prefix<S>(
+    /// engine configuration, scheme, or schema is a hard error — the caller
+    /// would otherwise splice two different runs into one stream.
+    fn scan_prefix<S>(
         &self,
         scheme: &S,
-        source_schema: &Schema,
+        schema: &Schema,
         reader: impl Read,
     ) -> Result<Option<StreamPrefix>>
     where
@@ -134,36 +152,24 @@ impl Engine {
     {
         let Ok(mut frames) = FrameReader::new(reader) else { return Ok(None) };
         let header = match frames.next_frame() {
-            Ok(Some(frame)) if frame.frame_type == FRAME_HEADER => frame,
+            Ok(Some(frame)) if frame.frame_type == FRAME_HEADER => {
+                StreamHeader::decode(&frame.payload)
+            }
             Ok(_) | Err(_) => return Ok(None),
         };
-        let parsed = (|| -> Result<(String, u64, usize, Schema)> {
-            let mut r = Reader::raw(&header.payload);
-            let name = r.str().map_err(F2Error::from)?.to_string();
-            let seed = r.u64().map_err(F2Error::from)?;
-            let chunk_rows = r.usize().map_err(F2Error::from)?;
-            let schema = take_schema(&mut r)?;
-            r.finish().map_err(F2Error::from)?;
-            Ok((name, seed, chunk_rows, schema))
-        })();
         // The frame passed its CRC, so an undecodable header is a producer bug,
         // not transport damage — but either way there is no prefix to keep.
-        let Ok((name, seed, chunk_rows, schema)) = parsed else { return Ok(None) };
-        if name != scheme.name() {
+        let Ok(header) = header else { return Ok(None) };
+        header.check_scheme(scheme.name(), "resume")?;
+        let (seed, chunk_rows) = (self.config().seed, self.config().chunk_rows);
+        if header.seed != seed || header.chunk_rows != chunk_rows {
             return Err(F2Error::UnsupportedInput(format!(
-                "stream was produced by the `{name}` scheme, resume holds `{}`",
-                scheme.name()
+                "stream was produced with seed {} / chunk_rows {}, the resuming engine holds \
+                 seed {seed} / chunk_rows {chunk_rows} — resume needs the original configuration",
+                header.seed, header.chunk_rows
             )));
         }
-        if seed != self.config().seed || chunk_rows != self.config().chunk_rows {
-            return Err(F2Error::UnsupportedInput(format!(
-                "stream was produced with seed {seed} / chunk_rows {chunk_rows}, the resuming \
-                 engine holds seed {} / chunk_rows {} — resume needs the original configuration",
-                self.config().seed,
-                self.config().chunk_rows
-            )));
-        }
-        if &schema != source_schema {
+        if &header.schema != schema {
             return Err(F2Error::UnsupportedInput(
                 "stream header schema disagrees with the source — resume needs the original \
                  source"
@@ -171,157 +177,154 @@ impl Engine {
             ));
         }
 
-        let mut records: Vec<ChunkRecord> = Vec::new();
-        let mut payload_crcs = Vec::new();
-        let mut bytes = frames.bytes_consumed();
-        let mut frame_count = 1u64;
-        loop {
-            // Only a full-sized chunk may be followed by another: a short chunk
-            // is the stream's final one, so the prefix cannot extend past it.
-            if records.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
+        let mut prefix = StreamPrefix {
+            records: Vec::new(),
+            payload_crcs: Vec::new(),
+            bytes: frames.bytes_consumed(),
+            frames: 1,
+        };
+        // Only a full-sized chunk may be followed by another: a short chunk is
+        // the stream's final one, so the prefix cannot extend past it.
+        while prefix.records.last().is_none_or(|prev| prev.rows.len() == chunk_rows) {
+            // Trailer, end marker, unknown frame type, torn or damaged tail:
+            // the chunk prefix ends here — everything at and past this offset
+            // is rewritten by the resumed run.
+            let Ok(Some(frame)) = frames.next_frame() else { break };
+            if frame.frame_type != FRAME_CHUNK {
                 break;
             }
-            let frame = match frames.next_frame() {
-                Ok(Some(frame)) if frame.frame_type == FRAME_CHUNK => frame,
-                // Trailer, end marker, unknown frame type, torn or damaged
-                // tail: the chunk prefix ends here — everything at and past
-                // this offset is rewritten by the resumed run.
-                _ => break,
+            let Ok(ChunkPayload { record, .. }) = ChunkPayload::decode(&frame.payload) else {
+                break;
             };
-            let mut r = Reader::raw(&frame.payload);
-            let Ok(record) = take_chunk_record(&mut r) else { break };
-            let next_row = records.last().map_or(0, |prev| prev.rows.end);
-            let next_output = records.last().map_or(0, |prev| prev.output_rows.end);
-            if record.index != records.len()
-                || record.rows.start != next_row
-                || record.output_rows.start != next_output
+            if !record.follows(prefix.records.last())
                 || record.rows.is_empty()
                 || record.rows.len() > chunk_rows
             {
                 break;
             }
             verify_chunk_seed(seed, record.index as u64, record.seed)?;
-            payload_crcs.push(crc32(&frame.payload));
-            records.push(record);
-            bytes = frames.bytes_consumed();
-            frame_count += 1;
+            prefix.payload_crcs.push(crc32(&frame.payload));
+            prefix.records.push(record);
+            prefix.bytes = frames.bytes_consumed();
+            prefix.frames += 1;
         }
-        Ok(Some(StreamPrefix { records, payload_crcs, bytes, frames: frame_count }))
+        Ok(Some(prefix))
     }
+}
 
-    /// Advance `source` past the rows the prefix covers, rebuilding the running
-    /// report (and, for F², verifying the stored frames against the source) and
-    /// seeding `progress` so the continued run picks up at the right chunk.
-    fn replay_prefix<S>(
-        &self,
-        scheme: &S,
-        source: &mut dyn RowSource,
-        retry: &RetryPolicy,
-        prefix: &StreamPrefix,
-        progress: &mut StreamProgress,
-    ) -> Result<()>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-    {
-        // Seekable fast path: when every prefix chunk's report is a pure
-        // function of its row count *and* the source can seek, there is
-        // nothing to replay — merge the rederived reports and jump the source
-        // straight to the resume row. F² stays on the slow path by design
-        // (`rederive_chunk_report` is `None`): its reports depend on the data,
-        // and the replay's CRC comparison is what proves the source unchanged.
-        let rederived: Option<Vec<_>> =
-            prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
-        if let Some(reports) = rederived {
-            if let Some(seekable) = source.as_seekable() {
-                let resume_row = prefix.records.last().map_or(0, |last| last.rows.end);
-                seekable.seek_to_row(resume_row).map_err(|e| {
-                    F2Error::UnsupportedInput(format!(
-                        "source ended (or refused to seek) before the {resume_row} rows the \
-                         stream prefix covers — resume needs the original source: {e}"
-                    ))
-                })?;
-                for (record, report) in prefix.records.iter().zip(&reports) {
-                    merge_reports(&mut progress.report, report);
-                    progress.rows = record.rows.end;
-                    progress.encrypted_rows = record.output_rows.end;
-                    progress.chunks.push(record.clone());
+/// Where a replayed prefix chunk's plaintext comes from — the one thing the
+/// two resume paths do differently.
+enum Plaintext<'a, R: Read> {
+    /// `resume_streaming`: the original source, rewound to its first row.
+    Pulled(&'a mut dyn RowSource, &'a RetryPolicy),
+    /// `resume_job`: the stored chunk frames, each decrypted under its own
+    /// owner state.
+    Stored(FrameReader<R>),
+}
+
+/// Rebuild the report of every prefix chunk: the replay step of both resume
+/// paths.
+fn replay<S, R>(
+    scheme: &S,
+    engine_seed: u64,
+    prefix: &StreamPrefix,
+    mut plaintext: Plaintext<'_, R>,
+) -> Result<Vec<EncryptionReport>>
+where
+    S: ChunkedScheme + StatefulScheme + ?Sized,
+    R: Read,
+{
+    // Fast path: every prefix chunk's report is a pure function of its row
+    // count, and the plaintext need not be read — the store's never is, and a
+    // seekable source jumps straight to the resume row. F² stays on the slow
+    // path by design (`rederive_chunk_report` is `None`): its reports depend
+    // on the data, and the replay's CRC comparison is what proves the
+    // plaintext unchanged.
+    let rederived: Option<Vec<_>> =
+        prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
+    if let Some(reports) = rederived {
+        let skipped = match &mut plaintext {
+            Plaintext::Pulled(source, _) => match source.as_seekable() {
+                Some(seekable) => {
+                    seekable.seek_to_row(prefix.rows()).map_err(|e| {
+                        F2Error::UnsupportedInput(format!(
+                            "source ended (or refused to seek) before the {} rows the stream \
+                             prefix covers — resume needs the original source: {e}",
+                            prefix.rows()
+                        ))
+                    })?;
+                    true
                 }
-                return Ok(());
-            }
+                None => false,
+            },
+            Plaintext::Stored(_) => true,
+        };
+        if skipped {
+            return Ok(reports);
         }
-
-        let mut pulls = retry.begin();
-        let mut remaining = prefix.records.iter().zip(&prefix.payload_crcs);
-        let mut current = remaining.next();
-        while let Some((record, &stored_crc)) = current {
-            let want = record.rows.len();
-            // The same inline retry loop as `pump_chunks` — the pulled chunk
-            // borrows the source, so `RetryPolicy::run` cannot wrap the pull.
-            let chunk = match source.next_chunk(want) {
-                Err(error) => {
-                    pulls.absorb(error).map_err(F2Error::from)?;
-                    continue;
-                }
-                Ok(None) => {
-                    return Err(F2Error::UnsupportedInput(format!(
+    }
+    let mut reports = Vec::with_capacity(prefix.records.len());
+    for (record, &stored_crc) in prefix.records.iter().zip(&prefix.payload_crcs) {
+        // `None`: the chunk re-encrypts to other bytes than the store holds.
+        let verify = |chunk: &TableChunk<'_>| -> Result<Option<EncryptionReport>> {
+            if let Some(report) = scheme.rederive_chunk_report(record.rows.len()) {
+                return Ok(Some(report));
+            }
+            // F²: re-encrypt under the chunk's (seed-verified) seed. Comparing
+            // the rebuilt frame payload's checksum against the stored frame's
+            // doubles as proof that the plaintext still holds the rows the
+            // prefix was built from.
+            let encrypted = encrypt_chunk(scheme, engine_seed, record.index, chunk)?;
+            let state = scheme.save_state(&encrypted.outcome)?;
+            let payload = ChunkPayload::encode(record, &state, &encrypted.outcome.encrypted);
+            Ok((crc32(&payload) == stored_crc).then_some(encrypted.outcome.report))
+        };
+        let (verified, refusal) = match &mut plaintext {
+            Plaintext::Pulled(source, retry) => {
+                let want = record.rows.len();
+                let verified = pull(&mut **source, retry, want, false, |chunk| match chunk {
+                    None => Err(F2Error::UnsupportedInput(format!(
                         "source ended at row {} but the stream prefix covers {} rows — resume \
                          needs the original source, rewound to its first row",
                         record.rows.start,
-                        prefix.records.last().map_or(0, |last| last.rows.end)
-                    )));
-                }
-                Ok(Some(chunk)) => chunk,
-            };
-            if chunk.row_count() != want {
-                return Err(F2Error::UnsupportedInput(format!(
-                    "source produced {} rows where the stream prefix recorded {want} — resume \
-                     needs the original source",
-                    chunk.row_count()
-                )));
-            }
-            match scheme.rederive_chunk_report(want) {
-                Some(report) => merge_reports(&mut progress.report, &report),
-                None => {
-                    // F²: the per-chunk report depends on the data, so the
-                    // chunk is re-encrypted (deterministic under the stored,
-                    // seed-verified chunk seed). Comparing the rebuilt frame
-                    // payload's checksum against the stored frame's doubles as
-                    // proof that the source still holds the rows the prefix
-                    // was built from.
-                    let reseeded = scheme.reseeded(record.seed);
-                    let outcome = match &chunk {
-                        TableChunk::Owned(table) => reseeded.encrypt(table)?,
-                        TableChunk::Borrowed(view) => reseeded.encrypt_view(view)?,
-                    };
-                    let mut payload = Writer::raw();
-                    put_chunk_record(&mut payload, record);
-                    payload.put_bytes(&scheme.save_state(&outcome)?);
-                    payload.put_bytes(&encode_table(&outcome.encrypted));
-                    if crc32(&payload.finish()) != stored_crc {
-                        return Err(F2Error::UnsupportedInput(format!(
-                            "chunk {} re-encrypted from the source does not match the stored \
-                             stream — the source changed since the interrupted run",
-                            record.index
-                        )));
+                        prefix.rows()
+                    ))),
+                    Some(chunk) if chunk.row_count() != want => {
+                        Err(F2Error::UnsupportedInput(format!(
+                            "source produced {} rows where the stream prefix recorded {want} — \
+                             resume needs the original source",
+                            chunk.row_count()
+                        )))
                     }
-                    merge_reports(&mut progress.report, &outcome.report);
-                }
+                    Some(chunk) => verify(&chunk),
+                })?;
+                let refusal = "re-encrypted from the source does not match the stored stream — \
+                               the source changed since the interrupted run";
+                (verified, refusal)
             }
-            progress.rows = record.rows.end;
-            progress.encrypted_rows = record.output_rows.end;
-            progress.chunks.push(record.clone());
-            current = remaining.next();
-            pulls = retry.begin();
-        }
-        Ok(())
+            Plaintext::Stored(frames) => {
+                let frame = frames
+                    .next_frame()?
+                    .filter(|f| f.frame_type == FRAME_CHUNK)
+                    .ok_or_else(|| {
+                        F2Error::UnsupportedInput(
+                            "stream changed between prefix scan and replay (chunk frame \
+                             vanished)"
+                                .into(),
+                        )
+                    })?;
+                // `Scheme::decrypt` restores original row order (provenance rows
+                // are sorted by source index), so re-encrypting its output under
+                // the chunk's recorded seed must reproduce the stored bytes.
+                let plain = ChunkPayload::decode(&frame.payload)?.decrypt(scheme)?;
+                let refusal = "re-encryption differs from the stored stream — the store was \
+                               written under different key material or scheme parameters than \
+                               the resuming scheme holds";
+                (verify(&TableChunk::Owned(plain))?, refusal)
+            }
+        };
+        let refused = || F2Error::UnsupportedInput(format!("chunk {} {refusal}", record.index));
+        reports.push(verified.ok_or_else(refused)?);
     }
-}
-
-fn io_err(error: std::io::Error) -> F2Error {
-    F2Error::from(IoError::Io(error))
-}
-
-fn seek_to<T: Seek + ?Sized>(store: &mut T, offset: u64) -> Result<()> {
-    store.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-    Ok(())
+    Ok(reports)
 }

@@ -1,21 +1,19 @@
-//! End-to-end streaming encryption: source in, checksummed `F2WS` v2 stream out,
-//! bounded peak memory in between.
+//! The `F2WS` v2 stream: its frame codec, the pull-model driver
+//! [`Engine::run_streaming`], and the readers.
 //!
-//! lint: untrusted-input — the stream readers below decode wire-derived frames.
-//! lint: chunk-seed-authority — this module may derive per-chunk seeds via
-//! [`chunk_seed`]; everywhere else must go through the pipeline entry points.
+//! lint: untrusted-input — the frame decoders below parse wire-derived, possibly
+//! damaged payloads.
 //!
-//! [`Engine::run_streaming`] is the constant-memory sibling of [`Engine::encrypt`]:
-//! instead of materialising the whole plaintext and the whole ciphertext, it pulls
-//! one chunk at a time from a [`RowSource`], encrypts it with the chunk seed the
-//! in-memory path would use ([`chunk_seed`]), and appends the result to a
-//! [`FrameSink`] before pulling the next chunk — at no point does more than one
-//! chunk of plaintext or ciphertext exist in memory (the **single-in-flight**
-//! guarantee; the source side is equally bounded, see `f2_io::CsvSource`). Because
-//! chunk seeds are a pure function of the engine seed and the chunk index, the
-//! stream's chunks carry **exactly** the ciphertext bytes and owner states of the
-//! in-memory path at any worker count, so the two paths are interchangeable
-//! artifact-for-artifact.
+//! Every streaming driver is one core, [`StreamJob`](crate::StreamJob), which
+//! encrypts chunk *i* under the seed the in-memory path gives chunk *i* and
+//! frames it. [`Engine::run_streaming`] is that job driven by a pull loop that
+//! encrypts and writes each chunk before it pulls the next, so at no point
+//! does more than one chunk of plaintext or ciphertext exist in memory (the
+//! **single-in-flight** guarantee; the source side is equally bounded, see
+//! `f2_io::CsvSource`). Because chunk seeds are a pure function of the engine
+//! seed and the chunk index, the stream's chunks carry **exactly** the
+//! ciphertext bytes and owner states of the in-memory path at any worker
+//! count, so the two paths are interchangeable artifact-for-artifact.
 //!
 //! The stream layout (each item one checksummed frame, see [`f2_io::frame`]):
 //!
@@ -24,6 +22,9 @@
 //! CHUNK*   ChunkRecord provenance + per-chunk owner state + encrypted chunk rows
 //! TRAILER  chunk/row totals + merged encryption report
 //! ```
+//!
+//! Each frame kind has one encoder and one decoder, below, which every writer
+//! and reader goes through: the job, the readers here, resume, and salvage.
 //!
 //! Reading back:
 //!
@@ -39,14 +40,14 @@
 use crate::persist::{
     decode_table, encode_table, put_report, put_schema, take_report, take_schema, StatefulScheme,
 };
-use crate::pipeline::{chunk_seed, merge_reports, ChunkRecord, Engine};
+use crate::pipeline::{encrypt_chunk, ChunkRecord, Engine};
 use crate::wire::{Reader, Writer};
 use f2_core::{ChunkState, ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
-use f2_io::frame::{FrameReader, FrameSink};
+use f2_io::frame::FrameReader;
 use f2_io::{sniff_version, RetryPolicy, RowSource, TableChunk};
-use f2_relation::Table;
+use f2_relation::{Schema, Table};
 use std::io::{Read, Write};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Frame type: the stream header (must be the first frame).
 pub const FRAME_HEADER: u8 = 1;
@@ -95,313 +96,255 @@ impl Engine {
         W: Write,
     {
         let schema = source.schema().clone();
-        if schema.arity() == 0 {
-            return Err(F2Error::UnsupportedInput("source has no attributes".into()));
-        }
-        let chunk_rows = self.config().chunk_rows;
-        let seed = self.config().seed;
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
-        // Transient write failures are absorbed *below* the frame layer: a failed
-        // raw `write` is guaranteed to have written nothing, so retrying it is
-        // exact, whereas retrying a whole `write_frame` could duplicate the bytes
-        // a partially-successful `write_all` already pushed out.
-        let mut sink = FrameSink::new(retry.writer(writer)).map_err(F2Error::from)?;
-
-        let mut header = Writer::raw();
-        header.put_str(scheme.name());
-        header.put_u64(seed);
-        header.put_usize(chunk_rows);
-        put_schema(&mut header, &schema);
-        sink.write_frame(FRAME_HEADER, &header.finish()).map_err(F2Error::from)?;
-
-        let mut progress = StreamProgress::start();
-        pump_chunks(scheme, seed, chunk_rows, source, &retry, &mut sink, &mut progress)?;
-        finish_stream(sink, progress).map(|(outcome, _)| outcome)
+        self.begin(scheme, &schema, writer)?.drain(scheme, source, &self.retry_policy())
     }
 }
 
-/// Running totals of one streaming run. `run_streaming` starts from zero;
-/// `resume_streaming` seeds it with the recovered prefix before pumping the
-/// remaining chunks through the same code path.
-pub(crate) struct StreamProgress {
-    pub(crate) chunks: Vec<ChunkRecord>,
+/// Pull one chunk of at most `max_rows` rows (`None` once `source` is
+/// exhausted) under `retry` and hand it to `with`; `timed` puts the pull under
+/// the `engine.chunk.pull` span. Retrying is sound only because a failed
+/// `next_chunk` consumes nothing (see `f2_io::retry`). The chunk borrows the
+/// source, so it goes to a callback: the borrow may not escape a retry loop.
+pub(crate) fn pull<R>(
+    source: &mut dyn RowSource,
+    retry: &RetryPolicy,
+    max_rows: usize,
+    timed: bool,
+    with: impl FnOnce(Option<TableChunk<'_>>) -> Result<R>,
+) -> Result<R> {
+    let mut pulls = retry.begin();
+    loop {
+        let attempt = {
+            // Span covers source I/O plus chunk assembly (e.g. CSV parsing).
+            let _pull = timed.then(|| f2_obs::span!("engine.chunk.pull"));
+            source.next_chunk(max_rows)
+        };
+        match attempt {
+            Ok(chunk) => return with(chunk),
+            Err(error) => pulls.absorb(error).map_err(F2Error::from)?,
+        }
+    }
+}
+
+// ── Frame codec ────────────────────────────────────────────────────────────────────
+
+fn malformed(message: impl std::fmt::Display) -> F2Error {
+    F2Error::UnsupportedInput(format!("malformed F2WS stream: {message}"))
+}
+
+/// The header frame: the scheme and engine configuration that wrote the
+/// stream, and the plaintext schema.
+#[derive(Debug)]
+pub(crate) struct StreamHeader {
+    pub(crate) scheme: String,
+    pub(crate) seed: u64,
+    pub(crate) chunk_rows: usize,
+    pub(crate) schema: Schema,
+}
+
+impl StreamHeader {
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::raw();
+        w.put_str(&self.scheme);
+        w.put_u64(self.seed);
+        w.put_usize(self.chunk_rows);
+        put_schema(&mut w, &self.schema);
+        w.finish()
+    }
+
+    /// Inverse of [`StreamHeader::encode`]. A header no engine writes — zero
+    /// `chunk_rows`, or a schema without attributes — is malformed.
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self> {
+        let mut r = Reader::raw(payload);
+        let header = StreamHeader {
+            scheme: r.str()?,
+            seed: r.u64()?,
+            chunk_rows: r.usize()?,
+            schema: take_schema(&mut r)?,
+        };
+        r.finish()?;
+        if header.chunk_rows == 0 || header.schema.arity() == 0 {
+            return Err(malformed("header declares no chunk rows or no attributes"));
+        }
+        Ok(header)
+    }
+
+    /// Refuse a stream another scheme wrote: `holder` is the scheme at hand,
+    /// `role` names the reader in the error.
+    pub(crate) fn check_scheme(&self, holder: &str, role: &str) -> Result<()> {
+        if self.scheme != holder {
+            return Err(F2Error::UnsupportedInput(format!(
+                "stream was produced by the `{}` scheme, {role} holds `{holder}`",
+                self.scheme
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A chunk frame's payload: the chunk's record, its owner-state blob, and its
+/// encoded ciphertext. The ciphertext is decoded on demand
+/// ([`ChunkPayload::encrypted`]): the resume scan needs only the record.
+///
+/// Scheduling diagnostics (`worker`, `wall`) are deliberately NOT part of the
+/// wire format: they vary run to run, and persisting them would make two
+/// streams of the same dataset byte-different — breaking reproducible artifacts
+/// and the frozen v2 golden vectors. Decoded records report `worker = 0` and
+/// `wall = 0`.
+pub(crate) struct ChunkPayload<'a> {
+    pub(crate) record: ChunkRecord,
+    pub(crate) state: &'a [u8],
+    table: &'a [u8],
+}
+
+impl<'a> ChunkPayload<'a> {
+    pub(crate) fn encode(record: &ChunkRecord, state: &[u8], encrypted: &Table) -> Vec<u8> {
+        let mut w = Writer::raw();
+        w.put_usize(record.index);
+        w.put_usize(record.rows.start);
+        w.put_usize(record.rows.end);
+        w.put_usize(record.output_rows.start);
+        w.put_usize(record.output_rows.end);
+        w.put_u64(record.seed);
+        w.put_bytes(state);
+        w.put_bytes(&encode_table(encrypted));
+        w.finish()
+    }
+
+    /// Inverse of [`ChunkPayload::encode`], up to the ciphertext's decoding.
+    pub(crate) fn decode(payload: &'a [u8]) -> Result<Self> {
+        let mut r = Reader::raw(payload);
+        let index = r.usize()?;
+        let rows = r.usize()?..r.usize()?;
+        let output_rows = r.usize()?..r.usize()?;
+        let seed = r.u64()?;
+        let (state, table) = (r.bytes()?, r.bytes()?);
+        r.finish()?;
+        if rows.start > rows.end || output_rows.start > output_rows.end {
+            return Err(malformed("chunk record has a reversed row range"));
+        }
+        let record =
+            ChunkRecord { index, rows, output_rows, seed, worker: 0, wall: Duration::ZERO };
+        Ok(ChunkPayload { record, state, table })
+    }
+
+    /// The chunk's ciphertext, checked against the record's output range.
+    pub(crate) fn encrypted(&self) -> Result<Table> {
+        let encrypted = decode_table(self.table)?;
+        if encrypted.row_count() != self.record.output_rows.len() {
+            return Err(malformed("chunk row count disagrees with its record"));
+        }
+        Ok(encrypted)
+    }
+
+    /// Decrypt the chunk under its own (chunk-local) owner state.
+    pub(crate) fn decrypt<S>(&self, scheme: &S) -> Result<Table>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+    {
+        let outcome = SchemeOutcome {
+            encrypted: self.encrypted()?,
+            state: scheme.load_state(self.state)?,
+            report: EncryptionReport::default(),
+        };
+        scheme.decrypt(&outcome)
+    }
+}
+
+/// The trailer frame: chunk and row totals plus the merged encryption report.
+pub(crate) struct Trailer {
+    pub(crate) chunks: usize,
     pub(crate) rows: usize,
     pub(crate) encrypted_rows: usize,
     pub(crate) report: EncryptionReport,
 }
 
-impl StreamProgress {
-    pub(crate) fn start() -> Self {
-        StreamProgress {
-            chunks: Vec::new(),
-            rows: 0,
-            encrypted_rows: 0,
-            report: EncryptionReport::default(),
-        }
+impl Trailer {
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::raw();
+        w.put_usize(self.chunks);
+        w.put_usize(self.rows);
+        w.put_usize(self.encrypted_rows);
+        // Persist the structural report (row overheads, MAS/EC counts) with the
+        // wall-clock step timings zeroed: like `ChunkRecord::wall`, timings vary
+        // run to run and would make equal datasets produce byte-different streams.
+        put_report(
+            &mut w,
+            &EncryptionReport { timings: Default::default(), ..self.report.clone() },
+        );
+        w.finish()
     }
-}
 
-/// Pull chunks from `source` until it is exhausted, encrypting each and
-/// appending its frame to `sink` — the shared main loop of `run_streaming` and
-/// `resume_streaming`. Pulls run under `retry`: retrying a pull is sound only
-/// because a failed `next_chunk` consumes nothing (see the soundness notes in
-/// `f2_io::retry`). The retry loop is inlined rather than wrapped in
-/// [`RetryPolicy::run`] because the pulled chunk borrows the source, so the
-/// borrow may not escape to a retrying closure's caller.
-pub(crate) fn pump_chunks<S, W>(
-    scheme: &S,
-    seed: u64,
-    chunk_rows: usize,
-    source: &mut dyn RowSource,
-    retry: &RetryPolicy,
-    sink: &mut FrameSink<W>,
-    progress: &mut StreamProgress,
-) -> Result<()>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    W: Write,
-{
-    let mut pulls = retry.begin();
-    loop {
-        let attempt = {
-            // Span covers source I/O plus chunk assembly (e.g. CSV parsing).
-            let _pull = f2_obs::span!("engine.chunk.pull");
-            source.next_chunk(chunk_rows)
+    /// Inverse of [`Trailer::encode`].
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self> {
+        let mut r = Reader::raw(payload);
+        let trailer = Trailer {
+            chunks: r.usize()?,
+            rows: r.usize()?,
+            encrypted_rows: r.usize()?,
+            report: take_report(&mut r)?,
         };
-        let chunk = match attempt {
-            Ok(None) => return Ok(()),
-            Ok(Some(chunk)) => chunk,
-            Err(error) => {
-                pulls.absorb(error).map_err(F2Error::from)?;
-                continue;
-            }
-        };
-        encode_chunk(scheme, seed, chunk_rows, &chunk, sink, progress)?;
-        // The pull budget is per-chunk, not per-stream: a success resets it.
-        pulls = retry.begin();
-        // `chunk` (the only live copy of the chunk's plaintext) drops here,
-        // before the next chunk is pulled.
+        r.finish()?;
+        Ok(trailer)
     }
 }
 
-/// Encrypt one pulled chunk and append its frame: the shared per-chunk step of
-/// `run_streaming` and `resume_streaming`.
-pub(crate) fn encode_chunk<S, W>(
-    scheme: &S,
-    seed: u64,
-    chunk_rows: usize,
-    chunk: &TableChunk<'_>,
-    sink: &mut FrameSink<W>,
-    progress: &mut StreamProgress,
-) -> Result<()>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    W: Write,
-{
-    let chunk_len = chunk.row_count();
-    let index = progress.chunks.len();
-    if chunk_len == 0 || chunk_len > chunk_rows {
-        return Err(F2Error::UnsupportedInput(format!(
-            "source produced a {chunk_len}-row chunk (expected 1..={chunk_rows})"
-        )));
-    }
-    if progress.chunks.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
-        return Err(F2Error::UnsupportedInput(
-            "source produced a short chunk before the final one \
-             (chunk boundaries would diverge from the in-memory path)"
-                .into(),
-        ));
-    }
-    let chunk_seed_value = chunk_seed(seed, index as u64);
-    let start = Instant::now();
-    // Owned chunks (e.g. freshly parsed CSV rows) go straight through
-    // `encrypt` — materialising a view of an already-owned table would just
-    // clone its rows again; borrowed chunks take the zero-copy view path.
-    // The two are byte-identical by the `encrypt_view` contract (pinned by
-    // `tests/stream_parity.rs`).
-    let reseeded = scheme.reseeded(chunk_seed_value);
-    let outcome = match chunk {
-        TableChunk::Owned(table) => reseeded.encrypt(table)?,
-        TableChunk::Borrowed(view) => reseeded.encrypt_view(view)?,
-    };
-    let wall = start.elapsed();
-    let record = ChunkRecord {
-        index,
-        rows: progress.rows..progress.rows + chunk_len,
-        output_rows: progress.encrypted_rows
-            ..progress.encrypted_rows + outcome.encrypted.row_count(),
-        seed: chunk_seed_value,
-        worker: 0,
-        wall,
-    };
-    let frame_payload = {
-        let _serialize = f2_obs::span!("engine.chunk.serialize");
-        let mut payload = Writer::raw();
-        put_chunk_record(&mut payload, &record);
-        payload.put_bytes(&scheme.save_state(&outcome)?);
-        payload.put_bytes(&encode_table(&outcome.encrypted));
-        payload.finish()
-    };
-    {
-        let _write = f2_obs::span!("engine.chunk.write");
-        sink.write_frame(FRAME_CHUNK, &frame_payload).map_err(F2Error::from)?;
-    }
-    crate::obs::chunk_encrypted(chunk_len, record.output_rows.len(), wall);
-    // Attribute this chunk's volume to the active request trace, if any (the
-    // server runs each request under one); no-ops otherwise.
-    f2_obs::ctx::add_count("rows", chunk_len as u64);
-    f2_obs::ctx::add_count("encrypted_rows", record.output_rows.len() as u64);
-    f2_obs::ctx::add_count("chunk_bytes", frame_payload.len() as u64);
-    f2_obs::trace_event(
-        "engine.chunk",
-        &[
-            ("index", index as u64),
-            ("rows", chunk_len as u64),
-            ("encrypted_rows", record.output_rows.len() as u64),
-            ("stream_bytes", sink.bytes_written()),
-        ],
-    );
-    progress.rows = record.rows.end;
-    progress.encrypted_rows = record.output_rows.end;
-    merge_reports(&mut progress.report, &outcome.report);
-    progress.chunks.push(record);
-    Ok(())
-    // `outcome` (the only live copy of the chunk's ciphertext) drops here.
-}
-
-/// Validate that a stored chunk record carries the seed this engine would have
-/// derived for its index — resume refuses to extend a stream whose chunk seeds
-/// were not produced from the engine seed it holds. Lives here so seed
-/// derivation stays inside the chunk-seed-authority files.
-pub(crate) fn verify_chunk_seed(engine_seed: u64, index: u64, stored: u64) -> Result<()> {
-    if chunk_seed(engine_seed, index) != stored {
-        return Err(F2Error::UnsupportedInput(format!(
-            "stream chunk {index} was encrypted under a different engine seed"
-        )));
-    }
-    Ok(())
-}
-
-/// Write the trailer and end frames and close out the stream — the shared
-/// epilogue of `run_streaming` and `resume_streaming`.
-pub(crate) fn finish_stream<W: Write>(
-    mut sink: FrameSink<W>,
-    progress: StreamProgress,
-) -> Result<(StreamOutcome, W)> {
-    let StreamProgress { chunks, rows, encrypted_rows, report } = progress;
-    let mut trailer = Writer::raw();
-    trailer.put_usize(chunks.len());
-    trailer.put_usize(rows);
-    trailer.put_usize(encrypted_rows);
-    // Persist the structural report (row overheads, MAS/EC counts) with the
-    // wall-clock step timings zeroed: like `ChunkRecord::wall`, timings vary run
-    // to run and would make equal datasets produce byte-different streams.
-    let mut persisted = report.clone();
-    persisted.timings = Default::default();
-    put_report(&mut trailer, &persisted);
-    sink.write_frame(FRAME_TRAILER, &trailer.finish()).map_err(F2Error::from)?;
-    let (writer, bytes_written) = sink.finish().map_err(F2Error::from)?;
-    crate::obs::stream_bytes_total().add(bytes_written);
-    Ok((StreamOutcome { chunks, rows, encrypted_rows, bytes_written, report }, writer))
-}
-
-/// The parsed header frame of one stream.
-#[derive(Debug)]
-struct StreamHeader {
-    seed: u64,
-    schema: f2_relation::Schema,
-}
+// ── Readers ────────────────────────────────────────────────────────────────────────
 
 /// Drive a [`FrameReader`] over a stream, dispatching each frame: the header is
-/// validated against `scheme`, every chunk goes to `on_chunk` (in order, with its
-/// decoded record, owner state blob, and encrypted rows), and the trailer's totals
-/// and report come back to the caller. Shared by [`load_streamed_outcome`] and
-/// [`decrypt_streaming`] so both enforce the same structure.
+/// validated against `scheme_name`, every chunk goes to `on_chunk` (in order),
+/// and the header and trailer come back to the caller. Shared by
+/// [`load_streamed_outcome`] and [`decrypt_streaming`] so both enforce the same
+/// structure.
 fn walk_stream<R: Read>(
     scheme_name: &str,
     reader: R,
-    mut on_chunk: impl FnMut(ChunkRecord, &[u8], Table) -> Result<()>,
-) -> Result<(StreamHeader, usize, usize, usize, EncryptionReport)> {
-    let mut frames = FrameReader::new(reader).map_err(F2Error::from)?;
-    let malformed = |m: &str| F2Error::UnsupportedInput(format!("malformed F2WS stream: {m}"));
-
-    let first = frames
-        .next_frame()
-        .map_err(F2Error::from)?
-        .ok_or_else(|| malformed("empty stream (no header frame)"))?;
+    mut on_chunk: impl FnMut(ChunkPayload<'_>) -> Result<()>,
+) -> Result<(StreamHeader, Trailer)> {
+    let mut frames = FrameReader::new(reader)?;
+    let first = frames.next_frame()?.ok_or_else(|| malformed("empty stream (no header frame)"))?;
     if first.frame_type != FRAME_HEADER {
         return Err(malformed("stream does not start with a header frame"));
     }
-    let mut r = Reader::raw(&first.payload);
-    let name = r.str().map_err(F2Error::from)?;
-    if name != scheme_name {
-        return Err(F2Error::UnsupportedInput(format!(
-            "stream was produced by the `{name}` scheme, loader holds `{scheme_name}`"
-        )));
-    }
-    let seed = r.u64().map_err(F2Error::from)?;
-    let _chunk_rows = r.usize().map_err(F2Error::from)?;
-    let schema = take_schema(&mut r)?;
-    r.finish().map_err(F2Error::from)?;
-    let header = StreamHeader { seed, schema };
+    let header = StreamHeader::decode(&first.payload)?;
+    header.check_scheme(scheme_name, "loader")?;
 
-    let mut chunk_count = 0usize;
-    // Running end positions: chunk ranges must tile the plaintext and output tables
-    // gaplessly from 0 — a CRC only certifies transport, not a well-behaved
-    // producer, and a gapped or overlapping range would silently corrupt the merged
-    // owner state's row offsets.
-    let mut next_row = 0usize;
-    let mut next_output_row = 0usize;
+    // Chunk records must tile the plaintext and output tables gaplessly from 0 —
+    // a CRC only certifies transport, not a well-behaved producer, and a gapped
+    // or overlapping range would silently corrupt the merged owner state's row
+    // offsets.
+    let mut last: Option<ChunkRecord> = None;
     let trailer = loop {
         let frame = frames
-            .next_frame()
-            .map_err(F2Error::from)?
+            .next_frame()?
             .ok_or_else(|| malformed("stream ended without a trailer frame"))?;
         match frame.frame_type {
             FRAME_CHUNK => {
-                let mut r = Reader::raw(&frame.payload);
-                let record = take_chunk_record(&mut r)?;
-                if record.index != chunk_count {
-                    return Err(malformed(&format!(
-                        "chunk {} arrived at position {chunk_count}",
-                        record.index
-                    )));
-                }
-                if record.rows.start != next_row || record.output_rows.start != next_output_row {
-                    return Err(malformed(&format!(
-                        "chunk {} covers rows {:?} → output {:?}, expected them to start at \
-                         {next_row} → {next_output_row}",
+                let chunk = ChunkPayload::decode(&frame.payload)?;
+                let record = &chunk.record;
+                if !record.follows(last.as_ref()) {
+                    let (index, row, output) = ChunkRecord::after(last.as_ref());
+                    return Err(malformed(format!(
+                        "chunk {} covers rows {:?} → output {:?}, expected chunk {index} to \
+                         start at {row} → {output}",
                         record.index, record.rows, record.output_rows
                     )));
                 }
-                let state_blob = r.bytes().map_err(F2Error::from)?.to_vec();
-                let encrypted = decode_table(r.bytes().map_err(F2Error::from)?)?;
-                r.finish().map_err(F2Error::from)?;
-                if encrypted.row_count() != record.output_rows.len() {
-                    return Err(malformed("chunk row count disagrees with its record"));
-                }
-                next_row = record.rows.end;
-                next_output_row = record.output_rows.end;
-                on_chunk(record, &state_blob, encrypted)?;
-                chunk_count += 1;
+                last = Some(record.clone());
+                on_chunk(chunk)?;
             }
-            FRAME_TRAILER => break frame,
-            other => return Err(malformed(&format!("unknown frame type {other}"))),
+            FRAME_TRAILER => break Trailer::decode(&frame.payload)?,
+            other => return Err(malformed(format!("unknown frame type {other}"))),
         }
     };
-    let mut r = Reader::raw(&trailer.payload);
-    let chunks = r.usize().map_err(F2Error::from)?;
-    let rows = r.usize().map_err(F2Error::from)?;
-    let encrypted_rows = r.usize().map_err(F2Error::from)?;
-    let report = take_report(&mut r)?;
-    r.finish().map_err(F2Error::from)?;
-    if chunks != chunk_count || rows != next_row || encrypted_rows != next_output_row {
+    let totals = (trailer.chunks, trailer.rows, trailer.encrypted_rows);
+    if totals != ChunkRecord::after(last.as_ref()) {
         return Err(malformed("trailer totals disagree with the chunk frames"));
     }
-    if frames.next_frame().map_err(F2Error::from)?.is_some() {
+    if frames.next_frame()?.is_some() {
         return Err(malformed("frames after the trailer"));
     }
-    Ok((header, chunks, rows, encrypted_rows, report))
+    Ok((header, trailer))
 }
 
 /// Reassemble a whole [`SchemeOutcome`] (plus the per-chunk provenance) from a v2
@@ -419,39 +362,34 @@ where
     let mut encrypted: Option<Table> = None;
     let mut chunk_states: Vec<ChunkState> = Vec::new();
     let mut records: Vec<ChunkRecord> = Vec::new();
-    let (header, _, rows, encrypted_rows, report) =
-        walk_stream(scheme.name(), reader, |record, state_blob, chunk_table| {
-            chunk_states.push(ChunkState {
-                row_offset: record.rows.start,
-                output_offset: record.output_rows.start,
-                state: scheme.load_state(state_blob)?,
-            });
-            match &mut encrypted {
-                None => encrypted = Some(chunk_table),
-                Some(table) => table.append(chunk_table)?,
-            }
-            records.push(record);
-            Ok(())
-        })?;
+    let (header, trailer) = walk_stream(scheme.name(), reader, |chunk| {
+        chunk_states.push(ChunkState {
+            row_offset: chunk.record.rows.start,
+            output_offset: chunk.record.output_rows.start,
+            state: scheme.load_state(chunk.state)?,
+        });
+        let chunk_table = chunk.encrypted()?;
+        match &mut encrypted {
+            None => encrypted = Some(chunk_table),
+            Some(table) => table.append(chunk_table)?,
+        }
+        records.push(chunk.record);
+        Ok(())
+    })?;
     let outcome = match encrypted {
         Some(encrypted) => {
             // walk_stream already forced the chunk ranges to tile gaplessly and the
             // trailer totals to match them.
-            debug_assert_eq!(encrypted.row_count(), encrypted_rows);
+            debug_assert_eq!(encrypted.row_count(), trailer.encrypted_rows);
             let state = scheme.merge_chunk_states(chunk_states)?;
-            SchemeOutcome { encrypted, state, report }
+            SchemeOutcome { encrypted, state, report: trailer.report }
         }
+        // Empty dataset (walk_stream forced the trailer to promise no rows):
+        // reconstruct the same empty outcome the in-memory path produces for an
+        // empty table (chunk-0 seed, backend-shaped state).
         None => {
-            if rows != 0 {
-                return Err(F2Error::UnsupportedInput(
-                    "malformed F2WS stream: rows recorded but no chunk frames".into(),
-                ));
-            }
-            // Empty dataset: reconstruct the same empty outcome the in-memory path
-            // produces for an empty table (chunk-0 seed, backend-shaped state).
-            scheme
-                .reseeded(chunk_seed(header.seed, 0))
-                .encrypt(&Table::empty(header.schema.clone()))?
+            let empty = TableChunk::Owned(Table::empty(header.schema));
+            encrypt_chunk(scheme, header.seed, 0, &empty)?.outcome
         }
     };
     Ok((outcome, records))
@@ -471,19 +409,15 @@ where
     R: Read,
 {
     let mut emitted = 0usize;
-    let (_, _, rows, _, _) = walk_stream(scheme.name(), reader, |_, state_blob, chunk_table| {
-        let chunk_outcome = SchemeOutcome {
-            encrypted: chunk_table,
-            state: scheme.load_state(state_blob)?,
-            report: EncryptionReport::default(),
-        };
-        let plain = scheme.decrypt(&chunk_outcome)?;
+    let (_, trailer) = walk_stream(scheme.name(), reader, |chunk| {
+        let plain = chunk.decrypt(scheme)?;
         emitted += plain.row_count();
         emit(plain)
     })?;
-    if emitted != rows {
-        return Err(F2Error::UnsupportedInput(format!(
-            "malformed F2WS stream: decrypted {emitted} rows, trailer promises {rows}"
+    if emitted != trailer.rows {
+        return Err(malformed(format!(
+            "decrypted {emitted} rows, trailer promises {}",
+            trailer.rows
         )));
     }
     Ok(emitted)
@@ -496,40 +430,11 @@ pub fn read_outcome<S>(scheme: &S, bytes: &[u8]) -> Result<SchemeOutcome>
 where
     S: ChunkedScheme + StatefulScheme,
 {
-    match sniff_version(bytes).map_err(F2Error::from)? {
+    match sniff_version(bytes)? {
         1 => crate::persist::load_outcome(scheme, bytes),
         2 => Ok(load_streamed_outcome(scheme, bytes)?.0),
         other => Err(F2Error::UnsupportedInput(format!("unknown F2WS version {other}"))),
     }
-}
-
-// ── ChunkRecord codec ──────────────────────────────────────────────────────────────
-//
-// Scheduling diagnostics (`worker`, `wall`) are deliberately NOT part of the wire
-// format: they vary run to run, and persisting them would make two streams of the
-// same dataset byte-different — breaking reproducible artifacts and the frozen v2
-// golden vectors. Loaded records report `worker = 0` and `wall = 0`.
-
-pub(crate) fn put_chunk_record(w: &mut Writer, record: &ChunkRecord) {
-    w.put_usize(record.index);
-    w.put_usize(record.rows.start);
-    w.put_usize(record.rows.end);
-    w.put_usize(record.output_rows.start);
-    w.put_usize(record.output_rows.end);
-    w.put_u64(record.seed);
-}
-
-pub(crate) fn take_chunk_record(r: &mut Reader<'_>) -> Result<ChunkRecord> {
-    let index = r.usize().map_err(F2Error::from)?;
-    let rows = r.usize().map_err(F2Error::from)?..r.usize().map_err(F2Error::from)?;
-    let output_rows = r.usize().map_err(F2Error::from)?..r.usize().map_err(F2Error::from)?;
-    let seed = r.u64().map_err(F2Error::from)?;
-    if rows.start > rows.end || output_rows.start > output_rows.end {
-        return Err(F2Error::UnsupportedInput(
-            "malformed F2WS stream: chunk record has a reversed row range".into(),
-        ));
-    }
-    Ok(ChunkRecord { index, rows, output_rows, seed, worker: 0, wall: Duration::ZERO })
 }
 
 #[cfg(test)]
@@ -614,6 +519,55 @@ mod tests {
         assert!(records.is_empty());
         assert_eq!(loaded.encrypted.row_count(), 0);
         assert!(scheme.decrypt(&loaded).unwrap().multiset_eq(&t));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Hostile input to the one header decoder and the one chunk-payload
+        /// decoder — the decoders every reader (strict, resume scan and
+        /// replay, lossy salvage) goes through: arbitrary bytes are refused,
+        /// never a panic. (Any 128 bytes are a well-formed trailer, so the
+        /// trailer decoder is held to not panicking.)
+        #[test]
+        fn arbitrary_bytes_never_decode_as_a_header_or_chunk(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            proptest::prop_assert!(StreamHeader::decode(&bytes).is_err());
+            proptest::prop_assert!(
+                ChunkPayload::decode(&bytes).and_then(|chunk| chunk.encrypted()).is_err()
+            );
+            let _ = Trailer::decode(&bytes);
+        }
+
+        /// Every strict prefix of a well-formed header or chunk payload is
+        /// refused too.
+        #[test]
+        fn truncated_headers_and_chunks_are_refused(cut_per_mille in 0u64..1000) {
+            let t = fixture();
+            let header = StreamHeader {
+                scheme: "f2".into(),
+                seed: 7,
+                chunk_rows: 2,
+                schema: t.schema().clone(),
+            };
+            let header = header.encode();
+            let record = ChunkRecord {
+                index: 0,
+                rows: 0..6,
+                output_rows: 0..6,
+                seed: 1,
+                worker: 0,
+                wall: Duration::ZERO,
+            };
+            let chunk = ChunkPayload::encode(&record, b"state", &t);
+            let cut = |len: usize| (len as u64 * cut_per_mille / 1000) as usize;
+            proptest::prop_assert!(StreamHeader::decode(&header[..cut(header.len())]).is_err());
+            let truncated = &chunk[..cut(chunk.len())];
+            proptest::prop_assert!(
+                ChunkPayload::decode(truncated).and_then(|chunk| chunk.encrypted()).is_err()
+            );
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, F2};
 use f2_crypto::MasterKey;
-use f2_engine::{Engine, EngineConfig, StatefulScheme, StreamJob};
+use f2_engine::{Engine, EngineConfig, EngineError, StatefulScheme, StreamJob};
 use f2_io::{FrameReader, RowSource, StreamStore, TableChunk, TableSource};
 use f2_relation::Table;
-use std::io::Cursor;
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 
 fn fixture(rows: usize) -> Table {
     f2_datagen::Dataset::Orders.generate(rows, 77)
@@ -199,4 +199,89 @@ fn a_job_enforces_the_pull_paths_chunk_invariants() {
     job.append_chunk(&scheme, &owned).unwrap();
     let err = job.append_chunk(&scheme, &owned).unwrap_err();
     assert!(err.to_string().contains("short chunk"), "{err}");
+}
+
+/// A store whose writes fail once, fatally, on reaching byte `fail_at`. The
+/// bytes before it land, so the frame being written is left torn.
+#[derive(Debug)]
+struct TearingStore<'a> {
+    inner: &'a mut Cursor<Vec<u8>>,
+    fail_at: u64,
+    failed: bool,
+}
+
+impl Read for TearingStore<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Write for TearingStore<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let pos = self.inner.position();
+        if !self.failed && pos + buf.len() as u64 > self.fail_at {
+            if pos < self.fail_at {
+                return self.inner.write(&buf[..(self.fail_at - pos) as usize]);
+            }
+            self.failed = true;
+            return Err(std::io::Error::other("injected write failure"));
+        }
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl Seek for TearingStore<'_> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+impl StreamStore for TearingStore<'_> {
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+#[test]
+fn a_job_whose_frame_write_failed_refuses_to_go_on_until_resumed() {
+    let t = fixture(20);
+    let scheme = DetScheme::new(MasterKey::from_seed(41));
+    let engine = engine();
+    let mut full = Vec::new();
+    engine.run_streaming(&scheme, &mut TableSource::new(&t), &mut full).unwrap();
+    // Byte 900 falls inside chunk frame `torn` (boundaries: preamble, header,
+    // then one per chunk frame).
+    let fail_at = 900;
+    let boundaries = frame_boundaries(&full);
+    let torn = boundaries.iter().filter(|&&end| end <= fail_at).count() - 2;
+    assert!(boundaries[1] < fail_at && torn < 4, "byte {fail_at} must tear a chunk frame");
+
+    let mut stored = Cursor::new(Vec::new());
+    {
+        let store = TearingStore { inner: &mut stored, fail_at, failed: false };
+        let mut job = engine.begin_job(&scheme, t.schema(), store).unwrap();
+        let mut source = TableSource::new(&t);
+        for _ in 0..torn {
+            job.append_chunk(&scheme, &source.next_chunk(5).unwrap().unwrap()).unwrap();
+        }
+        let chunk = source.next_chunk(5).unwrap().unwrap();
+        let err = job.append_chunk(&scheme, &chunk).unwrap_err();
+        assert!(err.to_string().contains("injected write failure"), "{err}");
+        // The store now ends in a torn frame: the job refuses to append or
+        // finish over it, and says how to recover.
+        let err = job.append_chunk(&scheme, &chunk).unwrap_err();
+        assert!(matches!(err, EngineError::TornStream { chunk } if chunk == torn), "{err}");
+        assert!(err.to_string().contains("resume_job"), "{err}");
+        let err = job.finish_into_store().unwrap_err();
+        assert!(matches!(err, EngineError::TornStream { .. }), "{err}");
+    }
+    // Reopening truncates the tear, and the stream completes byte-exactly.
+    let job = engine.resume_job(&scheme, t.schema(), stored).unwrap();
+    assert_eq!(job.rows(), torn * 5);
+    let (_, store) = push_rest(&scheme, &t, job);
+    assert_eq!(store.get_ref(), &full, "the resumed job diverged from the uninterrupted stream");
 }

@@ -228,6 +228,12 @@ impl<S: StreamStore + ?Sized> StreamStore for Box<S> {
     }
 }
 
+impl<S: StreamStore + ?Sized> StreamStore for &mut S {
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        (**self).set_len(len)
+    }
+}
+
 impl StreamStore for std::fs::File {
     fn set_len(&mut self, len: u64) -> std::io::Result<()> {
         std::fs::File::set_len(self, len)
